@@ -1,11 +1,13 @@
 //! Compiled-plan kernels vs. the streaming reference kernels.
 //!
 //! * `right/k1`, `right/k8`, `left/k1`, `left/k8`: core-level planned
-//!   (f64 and f32) vs. streaming, per encoding, on a ≥350k-nnz Census
-//!   slice. The plan removes the per-symbol `div`/`mod`, the terminal
-//!   branch, the rule enum dispatch, and (for `re_iv`/`re_ans`/`re_fse`)
-//!   the packed/entropy decode, so the gap widens from `re_32` to
-//!   `re_fse`; the f32 plan halves the descriptor heap on top.
+//!   (`KernelPlan<f64>` and `KernelPlan<f32>`) vs. streaming, per
+//!   encoding, on a ≥350k-nnz Census slice. The plan removes the
+//!   per-symbol `div`/`mod`, the terminal branch, the rule enum
+//!   dispatch, and (for `re_iv`/`re_ans`/`re_fse`) the packed/entropy
+//!   decode, so the gap widens from `re_32` to `re_fse`; the f32 plan
+//!   halves the descriptor heap on top. The f32/f64 ratio on planned
+//!   `right/k8` is the AVX2 row-grouped walk's speedup.
 //! * `decode`: raw sequence-stream expansion per encoding — the tANS
 //!   table walk (`re_fse`) vs. the division-free rANS loop (`re_ans`).
 //! * `sparse`: the sparse-input activity walk vs. the dense planned
@@ -41,7 +43,7 @@ use std::time::{Duration, Instant};
 
 use criterion::{criterion_group, criterion_main, BenchmarkId, Criterion, Throughput};
 
-use gcm_core::{CompressedMatrix, Encoding, SparseStrategy};
+use gcm_core::{CompressedMatrix, Encoding, KernelPlan, SparseStrategy};
 use gcm_datagen::Dataset;
 use gcm_matrix::{CsrvMatrix, Workspace, SEPARATOR};
 use gcm_repair::RePair;
@@ -194,7 +196,7 @@ fn run_json_report(path: &str, dense: &gcm_matrix::DenseMatrix, csrv: &CsrvMatri
     for enc in Encoding::ALL {
         let cm = CompressedMatrix::compress(csrv, enc);
         let plan = cm.plan();
-        let plan32 = cm.plan_f32();
+        let plan32 = KernelPlan::<f32>::compile(&cm);
         let mut ws = Workspace::new();
 
         // Raw sequence expansion: the per-encoding decode loop alone.
@@ -432,15 +434,12 @@ fn run_json_report(path: &str, dense: &gcm_matrix::DenseMatrix, csrv: &CsrvMatri
             ..BuildOptions::default()
         };
         for (variant, serve_opts) in [
-            ("streaming", None),
-            ("planned", Some(ServeOptions::planned())),
-            ("planned_f32", Some(ServeOptions::planned_f32())),
+            ("streaming", ServeOptions::default()),
+            ("planned", ServeOptions::planned()),
+            ("planned_f32", ServeOptions::planned_f32()),
         ] {
             let model = ShardedModel::from_dense(dense, &opts).expect("build");
-            match &serve_opts {
-                Some(o) => model.prewarm_with(1, o),
-                None => model.prewarm(1),
-            }
+            model.prewarm_with(1, &serve_opts);
             let secs = measure(|| model.right_multiply_panel(1, &x, &mut y).unwrap());
             entries.push(JsonEntry {
                 group: format!("sharded/right/s{shards}"),
@@ -471,7 +470,7 @@ fn bench_kernels(c: &mut Criterion) {
     for enc in Encoding::ALL {
         let cm = CompressedMatrix::compress(&csrv, enc);
         let plan = cm.plan();
-        let plan32 = cm.plan_f32();
+        let plan32 = KernelPlan::<f32>::compile(&cm);
         let mut ws = Workspace::new();
 
         let mut group = c.benchmark_group("decode");

@@ -10,7 +10,7 @@ use gcm_repair::{MrSlp, RePair, RePairConfig, Slp};
 
 use crate::encoding::{Encoding, ExtSyms, RuleExt, RuleStore, SeqStore};
 use crate::mvm;
-use crate::plan::{KernelPlan, KernelPlanF32};
+use crate::plan::KernelPlan;
 
 /// A matrix compressed as `(C, R, V)` (§3), in one of the three physical
 /// encodings of §4.
@@ -401,17 +401,10 @@ impl CompressedMatrix {
     /// [`crate::plan`] module docs). Costs one `O(|C| + |R|)` pass and
     /// `O(|C| + |R|)` words of plan memory; serving loops that amortise
     /// one build across many multiplies trade that memory for a faster
-    /// per-multiply constant.
+    /// per-multiply constant. `KernelPlan::<f32>::compile` builds the
+    /// single-precision plan.
     pub fn plan(&self) -> KernelPlan {
         KernelPlan::compile(self)
-    }
-
-    /// Compiles this matrix into a single-precision [`KernelPlanF32`]:
-    /// the same descriptor program as [`plan`](Self::plan) with `f32`
-    /// multipliers and `f32` arithmetic — half the multiplier heap,
-    /// double the SIMD width, `f32` rounding on the results.
-    pub fn plan_f32(&self) -> KernelPlanF32 {
-        KernelPlanF32::compile(self)
     }
 
     /// Right multiplication with caller-provided scratch (`w` must have

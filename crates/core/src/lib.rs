@@ -59,6 +59,5 @@ pub use iteration::{
     IterationStats, SolveStats, SolverWorkspace,
 };
 pub use plan::{
-    plan_compiles, validate_sparse_x, KernelPlan, KernelPlanF32, SparseStrategy,
-    SPARSE_DENSITY_THRESHOLD,
+    validate_sparse_x, KernelPlan, PlanScalar, Precision, SparseStrategy, SPARSE_DENSITY_THRESHOLD,
 };

@@ -58,17 +58,19 @@
 //! nonzero-flag word per `buf` row (appended after the panel region) so
 //! untouched rules are skipped in O(1) rather than by an O(k) scan.
 //!
-//! # Single-precision plans
+//! # Precisions
 //!
-//! [`KernelPlanF32`] is the same descriptor program with `f32`
+//! [`KernelPlan<T>`] is generic over its scalar, one of the two
+//! [`PlanScalar`]s. `KernelPlan<f64>` (the default) is the exact plan.
+//! `KernelPlan<f32>` is the same descriptor program with `f32`
 //! multipliers and `f32` arithmetic: half the multiplier heap, twice the
-//! lanes per SIMD register. Its public panels stay `f64` (the serve
+//! lanes per SIMD register. Public panels stay `f64` for both (the serve
 //! protocol is `f64` end to end) — inputs are demoted on the copy into
-//! scratch, outputs promoted on the way out — and its scratch reuses the
-//! serve layer's `f64` [`gcm_matrix::Workspace`] buffers by viewing them
-//! as twice as many `f32` slots. Results are **not** bit-identical to
-//! the `f64` plans; they are bit-identical to an `f32` evaluation of the
-//! same descriptor program in the same order, which
+//! scratch, outputs promoted on the way out — and scratch is always the
+//! serve layer's `f64` [`gcm_matrix::Workspace`] buffers, which an `f32`
+//! plan views as twice as many `f32` slots. `f32` results are **not**
+//! bit-identical to the `f64` plans; they are bit-identical to an `f32`
+//! evaluation of the same descriptor program in the same order, which
 //! `tests/plan_f32_props.rs` pins against an independent oracle.
 //!
 //! A plan costs `O(|C| + |R|)` words — roughly `12` bytes per `C`
@@ -79,27 +81,13 @@
 //! [`HeapSize`].
 
 use std::ops::Range;
-use std::sync::atomic::{AtomicUsize, Ordering};
 
 use gcm_encodings::{varint, HeapSize};
 use gcm_matrix::{MatrixError, SEPARATOR};
 
 use crate::compressed::CompressedMatrix;
 use crate::fastdiv::FastDiv;
-
-/// Process-wide count of descriptor-compile passes (see
-/// [`plan_compiles`]).
-static PLAN_COMPILES: AtomicUsize = AtomicUsize::new(0);
-
-/// Number of descriptor-compile passes ([`KernelPlan::compile`]; `f32`
-/// compilation routes through the same pass) this process has run since
-/// start. Plan persistence relies on it: loading a container whose
-/// plans were persisted at build time must leave this counter untouched
-/// — the blobs deserialise as a validated cast, never a recompile — and
-/// the serve-layer tests pin exactly that.
-pub fn plan_compiles() -> usize {
-    PLAN_COMPILES.load(Ordering::Relaxed)
-}
+use sealed::{RowGroups, Scalar};
 
 /// Density bound of the activity-propagation sparse path: at
 /// `nnz(x) / cols` above this, [`KernelPlan::right_multiply_sparse`]
@@ -165,61 +153,260 @@ pub fn validate_sparse_x(cols: usize, x_nnz: &[(u32, f64)]) -> Result<(), Matrix
     Ok(())
 }
 
-/// Arithmetic element of a plan's scratch buffer: `f64` for the exact
-/// plans, `f32` for the SIMD-width-doubling ones. Private — the public
-/// surface is the two concrete plan types.
-trait Scalar:
-    Copy + PartialEq + std::ops::Add<Output = Self> + std::ops::Mul<Output = Self> + Send + Sync
-{
-    const ZERO: Self;
-    const ONE: Self;
-    /// On-disk bytes per scalar in a persisted plan blob.
-    const BYTES: usize;
-    fn from_f64(v: f64) -> Self;
-    fn to_f64(self) -> f64;
-    /// Appends the little-endian persisted form.
-    fn write_le(self, out: &mut Vec<u8>);
-    /// Reads back one scalar; `bytes.len()` must equal `Self::BYTES`.
-    fn read_le(bytes: &[u8]) -> Self;
+/// Precision of a compiled plan's multipliers, scratch, and
+/// accumulation. Its [`tag`](Self::tag) is the precision byte of a
+/// persisted plan blob and the plan kind the serve container records
+/// per shard. The order `F64 < F32` is the merge rule for plans that
+/// differ across shards: one `f32` shard makes the model `f32`.
+#[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash)]
+pub enum Precision {
+    /// Exact plans, bit-identical to the streaming kernels.
+    F64,
+    /// Single-precision plans: half the multiplier heap, twice the SIMD
+    /// lanes, `f32` rounding on the results.
+    F32,
 }
 
-impl Scalar for f64 {
-    const ZERO: Self = 0.0;
-    const ONE: Self = 1.0;
-    const BYTES: usize = 8;
-    #[inline(always)]
-    fn from_f64(v: f64) -> Self {
-        v
+impl Precision {
+    /// The persisted tag: `1` for `f64`, `2` for `f32`.
+    pub fn tag(self) -> u8 {
+        match self {
+            Precision::F64 => 1,
+            Precision::F32 => 2,
+        }
     }
-    #[inline(always)]
-    fn to_f64(self) -> f64 {
-        self
+
+    /// Inverse of [`tag`](Self::tag); `None` for an unknown tag.
+    pub fn from_tag(tag: u8) -> Option<Self> {
+        match tag {
+            1 => Some(Precision::F64),
+            2 => Some(Precision::F32),
+            _ => None,
+        }
     }
-    fn write_le(self, out: &mut Vec<u8>) {
-        out.extend_from_slice(&self.to_le_bytes());
-    }
-    fn read_le(bytes: &[u8]) -> Self {
-        f64::from_le_bytes(bytes.try_into().expect("8-byte chunk"))
+
+    /// `"f64"` or `"f32"`.
+    pub fn name(self) -> &'static str {
+        match self {
+            Precision::F64 => "f64",
+            Precision::F32 => "f32",
+        }
     }
 }
 
-impl Scalar for f32 {
-    const ZERO: Self = 0.0;
-    const ONE: Self = 1.0;
-    const BYTES: usize = 4;
-    #[inline(always)]
-    fn from_f64(v: f64) -> Self {
-        v as f32
+/// Scalar type of a [`KernelPlan`]: `f64` for the exact plans, `f32`
+/// for the SIMD-width-doubling ones. Sealed — implemented for exactly
+/// those two. Besides the [`PRECISION`](Self::PRECISION) tag, its
+/// (private) supertrait carries everything precision-specific: the view
+/// of `f64` workspace scratch and its word count, the AVX2 `k = 8`
+/// dispatch, and the row-group side table of the `f32` accumulation
+/// walk (`()` for `f64`, so exact plans carry no extra heap).
+pub trait PlanScalar: Scalar {
+    /// The precision this scalar type plans in.
+    const PRECISION: Precision;
+}
+
+impl PlanScalar for f64 {
+    const PRECISION: Precision = Precision::F64;
+}
+
+impl PlanScalar for f32 {
+    const PRECISION: Precision = Precision::F32;
+}
+
+/// The sealed half of [`PlanScalar`]. Public in name only: the module is
+/// private, so no other crate can implement or call it.
+mod sealed {
+    use gcm_encodings::HeapSize;
+
+    /// Arithmetic element of a plan's scratch buffer.
+    ///
+    /// `KernelPlan<T>` is generic, so its kernels and blob codec are
+    /// instantiated in the crate that calls them; every per-element or
+    /// per-request method here is `#[inline]` so it still inlines there.
+    pub trait Scalar:
+        Copy
+        + PartialEq
+        + std::ops::Add<Output = Self>
+        + std::ops::Mul<Output = Self>
+        + Send
+        + Sync
+        + std::fmt::Debug
+    {
+        const ZERO: Self;
+        const ONE: Self;
+        /// On-disk bytes per scalar in a persisted plan blob.
+        const BYTES: usize;
+        /// Side table of the row-grouped `k = 8` accumulation walk.
+        type Groups: Clone + std::fmt::Debug + Send + Sync;
+        fn build_groups(row_ptr: &[u32]) -> Self::Groups;
+        fn row_groups(groups: &Self::Groups) -> Option<&RowGroups>;
+        fn from_f64(v: f64) -> Self;
+        fn to_f64(self) -> f64;
+        /// Appends the little-endian persisted form.
+        fn write_le(self, out: &mut Vec<u8>);
+        /// Reads back one scalar; `bytes.len()` must equal `Self::BYTES`.
+        fn read_le(bytes: &[u8]) -> Self;
+        /// `f64` workspace words that hold `slots` scalars.
+        fn scratch_words(slots: usize) -> usize;
+        /// The first `slots` scalars of an `f64` scratch buffer that
+        /// holds at least [`scratch_words`](Self::scratch_words)`(slots)`.
+        fn view_mut(buf: &mut [f64], slots: usize) -> &mut [Self];
+        /// Read-only view of a whole `f64` scratch buffer.
+        fn view(buf: &[f64]) -> &[Self];
     }
-    #[inline(always)]
-    fn to_f64(self) -> f64 {
-        f64::from(self)
+
+    impl Scalar for f64 {
+        const ZERO: Self = 0.0;
+        const ONE: Self = 1.0;
+        const BYTES: usize = 8;
+        type Groups = ();
+        fn build_groups(_: &[u32]) {}
+        #[inline(always)]
+        fn row_groups(_: &()) -> Option<&RowGroups> {
+            None
+        }
+        #[inline(always)]
+        fn from_f64(v: f64) -> Self {
+            v
+        }
+        #[inline(always)]
+        fn to_f64(self) -> f64 {
+            self
+        }
+        #[inline]
+        fn write_le(self, out: &mut Vec<u8>) {
+            out.extend_from_slice(&self.to_le_bytes());
+        }
+        #[inline]
+        fn read_le(bytes: &[u8]) -> Self {
+            f64::from_le_bytes(bytes.try_into().expect("8-byte chunk"))
+        }
+        #[inline(always)]
+        fn scratch_words(slots: usize) -> usize {
+            slots
+        }
+        #[inline(always)]
+        fn view_mut(buf: &mut [f64], _slots: usize) -> &mut [f64] {
+            buf
+        }
+        #[inline(always)]
+        fn view(buf: &[f64]) -> &[f64] {
+            buf
+        }
     }
-    fn write_le(self, out: &mut Vec<u8>) {
-        out.extend_from_slice(&self.to_le_bytes());
+
+    /// `f32` scratch is the `f64` workspace buffer viewed as twice as
+    /// many `f32` slots: `f64` has size 8 / alignment 8, `f32` size 4 /
+    /// alignment 4, and neither type has invalid bit patterns, so the
+    /// reinterpretation is layout-sound and both precisions draw from
+    /// the serve layer's one buffer pool.
+    impl Scalar for f32 {
+        const ZERO: Self = 0.0;
+        const ONE: Self = 1.0;
+        const BYTES: usize = 4;
+        type Groups = RowGroups;
+        fn build_groups(row_ptr: &[u32]) -> RowGroups {
+            RowGroups::build(row_ptr)
+        }
+        #[inline(always)]
+        fn row_groups(groups: &RowGroups) -> Option<&RowGroups> {
+            Some(groups)
+        }
+        #[inline(always)]
+        fn from_f64(v: f64) -> Self {
+            v as f32
+        }
+        #[inline(always)]
+        fn to_f64(self) -> f64 {
+            f64::from(self)
+        }
+        #[inline]
+        fn write_le(self, out: &mut Vec<u8>) {
+            out.extend_from_slice(&self.to_le_bytes());
+        }
+        #[inline]
+        fn read_le(bytes: &[u8]) -> Self {
+            f32::from_le_bytes(bytes.try_into().expect("4-byte chunk"))
+        }
+        #[inline]
+        fn scratch_words(slots: usize) -> usize {
+            slots.div_ceil(2)
+        }
+        #[inline]
+        fn view_mut(buf: &mut [f64], slots: usize) -> &mut [f32] {
+            // SAFETY: see the impl docs — same allocation and byte
+            // length, looser alignment, every bit pattern valid.
+            let all = unsafe {
+                std::slice::from_raw_parts_mut(buf.as_mut_ptr().cast::<f32>(), buf.len() * 2)
+            };
+            &mut all[..slots]
+        }
+        #[inline]
+        fn view(buf: &[f64]) -> &[f32] {
+            // SAFETY: as in `view_mut`.
+            unsafe { std::slice::from_raw_parts(buf.as_ptr().cast::<f32>(), buf.len() * 2) }
+        }
     }
-    fn read_le(bytes: &[u8]) -> Self {
-        f32::from_le_bytes(bytes.try_into().expect("4-byte chunk"))
+
+    /// Rows of the descriptor program bucketed by descriptor count, the
+    /// side table behind the `f32` plan's **row-grouped** accumulation
+    /// walk.
+    ///
+    /// The CSR walk of `PlanBody::accumulate_rows` runs one
+    /// variable-trip inner loop per row; on matrices with short rows (a
+    /// handful of descriptors each) the walk is bound not by lane
+    /// arithmetic but by one branch mispredict per row — the flush kills
+    /// the out-of-order overlap between adjacent rows' accumulation
+    /// chains, and it costs the `f32` and `f64` plans the same, burying
+    /// the `f32` lanes' advantage. Grouping rows by length makes the trip
+    /// count constant within each group (the exit branch predicts
+    /// perfectly after the first row) and lets same-length row **pairs**
+    /// run as two interleaved independent descriptor streams.
+    ///
+    /// Each row still accumulates its own descriptors in the original
+    /// order, so per-row sums are bit-identical to the CSR walk; only the
+    /// order rows are *visited* changes, and row outputs are disjoint.
+    #[derive(Debug, Clone)]
+    pub struct RowGroups {
+        /// Row ids, sorted by (descriptor count, row id).
+        pub(super) rows: Vec<u32>,
+        /// Group `g` spans `rows[group_ptr[g]..group_ptr[g+1]]`; every
+        /// row in it holds exactly `lens[g]` descriptors.
+        pub(super) group_ptr: Vec<u32>,
+        /// Descriptor count per group, strictly increasing.
+        pub(super) lens: Vec<u32>,
+    }
+
+    impl RowGroups {
+        fn build(row_ptr: &[u32]) -> Self {
+            let n = row_ptr.len().saturating_sub(1);
+            let mut rows: Vec<u32> = (0..n as u32).collect();
+            let len_of = |r: u32| row_ptr[r as usize + 1] - row_ptr[r as usize];
+            rows.sort_by_key(|&r| (len_of(r), r));
+            let mut group_ptr = vec![0u32];
+            let mut lens = Vec::new();
+            for (i, &r) in rows.iter().enumerate() {
+                if lens.last() != Some(&len_of(r)) {
+                    lens.push(len_of(r));
+                    if i > 0 {
+                        group_ptr.push(i as u32);
+                    }
+                }
+            }
+            group_ptr.push(n as u32);
+            Self {
+                rows,
+                group_ptr,
+                lens,
+            }
+        }
+    }
+
+    impl HeapSize for RowGroups {
+        fn heap_bytes(&self) -> usize {
+            self.rows.heap_bytes() + self.group_ptr.heap_bytes() + self.lens.heap_bytes()
+        }
     }
 }
 
@@ -312,9 +499,9 @@ impl HeapSize for SparseIndex {
     }
 }
 
-/// The compiled descriptor program, shared by [`KernelPlan`] (`T = f64`)
-/// and [`KernelPlanF32`] (`T = f32`). All kernels are written once here;
-/// the wrappers fix the scalar type and the scratch-buffer convention.
+/// The compiled descriptor program behind [`KernelPlan<T>`]. All kernels
+/// are written once here; the wrapper adds the precision's scratch view,
+/// SIMD dispatch, and side table.
 #[derive(Debug, Clone)]
 struct PlanBody<T> {
     rows: usize,
@@ -979,87 +1166,27 @@ fn simd8() -> bool {
     false
 }
 
-/// Rows of the descriptor program bucketed by descriptor count, the
-/// side table behind the `f32` plan's **row-grouped** accumulation
-/// walk.
-///
-/// The CSR walk of [`PlanBody::accumulate_rows`] runs one
-/// variable-trip inner loop per row; on matrices with short rows (a
-/// handful of descriptors each) the walk is bound not by lane
-/// arithmetic but by one branch mispredict per row — the flush kills
-/// the out-of-order overlap between adjacent rows' accumulation
-/// chains, and it costs the `f32` and `f64` plans the same, burying
-/// the `f32` lanes' advantage. Grouping rows by length makes the trip
-/// count constant within each group (the exit branch predicts
-/// perfectly after the first row) and lets same-length row **pairs**
-/// run as two interleaved independent descriptor streams.
-///
-/// Each row still accumulates its own descriptors in the original
-/// order, so per-row sums are bit-identical to the CSR walk; only the
-/// order rows are *visited* changes, and row outputs are disjoint.
-#[derive(Debug, Clone)]
-struct RowGroups {
-    /// Row ids, sorted by (descriptor count, row id).
-    rows: Vec<u32>,
-    /// Group `g` spans `rows[group_ptr[g]..group_ptr[g+1]]`; every row
-    /// in it holds exactly `lens[g]` descriptors.
-    group_ptr: Vec<u32>,
-    /// Descriptor count per group, strictly increasing.
-    lens: Vec<u32>,
-}
-
-impl RowGroups {
-    fn build(row_ptr: &[u32]) -> Self {
-        let n = row_ptr.len().saturating_sub(1);
-        let mut rows: Vec<u32> = (0..n as u32).collect();
-        let len_of = |r: u32| row_ptr[r as usize + 1] - row_ptr[r as usize];
-        rows.sort_by_key(|&r| (len_of(r), r));
-        let mut group_ptr = vec![0u32];
-        let mut lens = Vec::new();
-        for (i, &r) in rows.iter().enumerate() {
-            if lens.last() != Some(&len_of(r)) {
-                lens.push(len_of(r));
-                if i > 0 {
-                    group_ptr.push(i as u32);
-                }
-            }
-        }
-        group_ptr.push(n as u32);
-        Self {
-            rows,
-            group_ptr,
-            lens,
-        }
-    }
-}
-
-impl HeapSize for RowGroups {
-    fn heap_bytes(&self) -> usize {
-        self.rows.heap_bytes() + self.group_ptr.heap_bytes() + self.lens.heap_bytes()
-    }
-}
-
-/// AVX2 recompilations of the fixed-width `f32` panel kernels (see
-/// [`simd8`]). Each wrapper re-asserts the checked entry points'
-/// bounds, then inlines the shared `*_fixed::<8>` body under the wider
-/// feature set.
-#[cfg(target_arch = "x86_64")]
-impl PlanBody<f32> {
+/// AVX2 recompilations of the fixed-width panel kernels, taken by
+/// [`Precision::F32`] plans (see [`simd8`]). Each wrapper inlines
+/// the shared `*_fixed::<8>` body under the wider feature set; the
+/// callers have already checked every bound. On other architectures
+/// these are the portable bodies, and [`simd8`] never selects them.
+impl<T: Scalar> PlanBody<T> {
     /// # Safety
     /// The CPU must support AVX2 (guard every call with [`simd8`]).
-    #[target_feature(enable = "avx,avx2")]
-    unsafe fn eval_rules_panel8_avx2(&self, buf: &mut [f32]) {
+    #[cfg_attr(target_arch = "x86_64", target_feature(enable = "avx,avx2"))]
+    unsafe fn eval_rules_panel8_avx2(&self, buf: &mut [T]) {
         self.eval_rules_panel_fixed::<8>(buf);
     }
 
     /// # Safety
     /// The CPU must support AVX2 (guard every call with [`simd8`]).
-    #[target_feature(enable = "avx,avx2")]
+    #[cfg_attr(target_arch = "x86_64", target_feature(enable = "avx,avx2"))]
     unsafe fn accumulate_rows8_grouped_avx2(
         &self,
         groups: &RowGroups,
         rows: Range<usize>,
-        buf: &[f32],
+        buf: &[T],
         y_chunk: &mut [f64],
     ) {
         self.accumulate_rows8_grouped(groups, rows, buf, y_chunk);
@@ -1067,61 +1194,16 @@ impl PlanBody<f32> {
 
     /// # Safety
     /// The CPU must support AVX2 (guard every call with [`simd8`]).
-    #[target_feature(enable = "avx,avx2")]
-    unsafe fn left_panel8_avx2(&self, y_panel: &[f64], x_panel: &mut [f64], buf: &mut [f32]) {
+    #[cfg_attr(target_arch = "x86_64", target_feature(enable = "avx,avx2"))]
+    unsafe fn left_panel8_avx2(&self, y_panel: &[f64], x_panel: &mut [f64], buf: &mut [T]) {
         self.left_panel_fixed::<8>(y_panel, x_panel, buf);
-    }
-}
-
-/// Portable stand-ins so the [`simd8`]-guarded call sites compile on
-/// every architecture; [`simd8`] is constant `false` here, so these
-/// never actually run.
-#[cfg(not(target_arch = "x86_64"))]
-impl PlanBody<f32> {
-    unsafe fn eval_rules_panel8_avx2(&self, buf: &mut [f32]) {
-        self.eval_rules_panel_fixed::<8>(buf);
-    }
-
-    unsafe fn accumulate_rows8_grouped_avx2(
-        &self,
-        groups: &RowGroups,
-        rows: Range<usize>,
-        buf: &[f32],
-        y_chunk: &mut [f64],
-    ) {
-        self.accumulate_rows8_grouped(groups, rows, buf, y_chunk);
-    }
-
-    unsafe fn left_panel8_avx2(&self, y_panel: &[f64], x_panel: &mut [f64], buf: &mut [f32]) {
-        self.left_panel_fixed::<8>(y_panel, x_panel, buf);
-    }
-}
-
-impl PlanBody<f32> {
-    /// [`begin_right`](Self::begin_right) with the `f32` SIMD dispatch:
-    /// 8-lane panels take the AVX2-compiled rule pass when the host
-    /// supports it.
-    fn begin_right_f32(
-        &self,
-        k: usize,
-        x_panel: &[f64],
-        buf: &mut [f32],
-    ) -> Result<(), MatrixError> {
-        let k = k.max(1);
-        if k == 8 && simd8() {
-            self.load_panel(8, x_panel, buf)?;
-            // SAFETY: `simd8` just confirmed AVX2.
-            unsafe { self.eval_rules_panel8_avx2(buf) };
-            return Ok(());
-        }
-        self.begin_right(k, x_panel, buf)
     }
 
     /// [`accumulate_rows`](Self::accumulate_rows) over the row-grouped
     /// walk of [`RowGroups`]: rows are visited group by group (uniform
     /// inner trip count) and same-length pairs run as two interleaved
     /// independent descriptor streams. Per-row accumulation order — and
-    /// hence every `f32` sum — is identical to the CSR walk.
+    /// hence every sum — is identical to the CSR walk.
     ///
     /// `inline(always)` so the AVX2 wrapper recompiles this body with
     /// 256-bit vectors (see [`simd8`]).
@@ -1130,7 +1212,7 @@ impl PlanBody<f32> {
         &self,
         groups: &RowGroups,
         rows: Range<usize>,
-        buf: &[f32],
+        buf: &[T],
         y_chunk: &mut [f64],
     ) {
         assert!(rows.end <= self.rows);
@@ -1141,14 +1223,14 @@ impl PlanBody<f32> {
         // index is `< width()` and `row_ptr` brackets stay inside
         // `seq_*`; `buf.len() >= width() * 8` was asserted above.
         let row_acc = |d: usize, len: usize| {
-            let mut acc = [0f32; 8];
+            let mut acc = [T::ZERO; 8];
             unsafe {
                 for j in 0..len {
                     let m = *self.seq_mult.get_unchecked(d + j);
                     let i = *self.seq_idx.get_unchecked(d + j) as usize * 8;
                     let src = buf.get_unchecked(i..i + 8);
                     for (a, s) in acc.iter_mut().zip(src) {
-                        *a += m * *s;
+                        *a = *a + m * *s;
                     }
                 }
             }
@@ -1164,8 +1246,8 @@ impl PlanBody<f32> {
                 let (r0, r1) = (pair[0] as usize, pair[1] as usize);
                 let d0 = self.row_ptr[r0] as usize;
                 let d1 = self.row_ptr[r1] as usize;
-                let mut acc0 = [0f32; 8];
-                let mut acc1 = [0f32; 8];
+                let mut acc0 = [T::ZERO; 8];
+                let mut acc1 = [T::ZERO; 8];
                 unsafe {
                     for j in 0..len {
                         let m0 = *self.seq_mult.get_unchecked(d0 + j);
@@ -1175,15 +1257,15 @@ impl PlanBody<f32> {
                         let i1 = *self.seq_idx.get_unchecked(d1 + j) as usize * 8;
                         let s1 = buf.get_unchecked(i1..i1 + 8);
                         for l in 0..8 {
-                            acc0[l] += m0 * *s0.get_unchecked(l);
-                            acc1[l] += m1 * *s1.get_unchecked(l);
+                            acc0[l] = acc0[l] + m0 * *s0.get_unchecked(l);
+                            acc1[l] = acc1[l] + m1 * *s1.get_unchecked(l);
                         }
                     }
                 }
                 for (r, acc) in [(r0, &acc0), (r1, &acc1)] {
                     let dst = &mut y_chunk[(r - rows.start) * 8..(r - rows.start) * 8 + 8];
                     for (d, a) in dst.iter_mut().zip(acc) {
-                        *d = f64::from(*a);
+                        *d = a.to_f64();
                     }
                 }
             }
@@ -1192,20 +1274,10 @@ impl PlanBody<f32> {
                 let acc = row_acc(self.row_ptr[r] as usize, len);
                 let dst = &mut y_chunk[(r - rows.start) * 8..(r - rows.start) * 8 + 8];
                 for (d, a) in dst.iter_mut().zip(&acc) {
-                    *d = f64::from(*a);
+                    *d = a.to_f64();
                 }
             }
         }
-    }
-
-    /// [`left_panel`](Self::left_panel) with the `f32` SIMD dispatch.
-    fn left_panel_f32(&self, k: usize, y_panel: &[f64], x_panel: &mut [f64], buf: &mut [f32]) {
-        if k == 8 && simd8() {
-            // SAFETY: `simd8` just confirmed AVX2.
-            unsafe { self.left_panel8_avx2(y_panel, x_panel, buf) };
-            return;
-        }
-        self.left_panel(k, y_panel, x_panel, buf);
     }
 }
 
@@ -1223,11 +1295,6 @@ impl<T: Copy> HeapSize for PlanBody<T> {
 
 /// Magic prefix of a persisted plan blob (see [`KernelPlan::to_bytes`]).
 pub const PLAN_MAGIC: &[u8; 8] = b"GCMPLAN1";
-
-/// Precision byte of an `f64` plan blob.
-const PLAN_PRECISION_F64: u8 = 1;
-/// Precision byte of an `f32` plan blob.
-const PLAN_PRECISION_F32: u8 = 2;
 
 /// Reads `n` scalars in their fixed little-endian persisted form,
 /// bounds-checked against the remaining input before the one
@@ -1379,15 +1446,25 @@ impl<T: Scalar> PlanBody<T> {
 /// [`KernelPlan::compile`], which resolve and bounds-validate every
 /// descriptor once; the kernels then run without per-symbol bounds
 /// checks, branches, divisions, or decode work.
+///
+/// `T` is the scalar the program evaluates in (see [`PlanScalar`]):
+/// `f64` (the default) is exact, `f32` trades `f32` rounding for half
+/// the multiplier heap and twice the SIMD lanes. Panels and scratch are
+/// `f64` slices for both, so every serving path takes either precision.
 #[derive(Debug, Clone)]
-pub struct KernelPlan {
-    body: PlanBody<f64>,
+pub struct KernelPlan<T: PlanScalar = f64> {
+    body: PlanBody<T>,
+    /// Rows bucketed by descriptor count for the `f32` plan's
+    /// branch-uniform, pair-interleaved accumulation walk (see
+    /// `RowGroups`); `()` for `f64`.
+    groups: T::Groups,
 }
 
-impl KernelPlan {
+impl<T: PlanScalar> KernelPlan<T> {
     /// Compiles `m` into descriptor form: one `O(|C| + |R|)` pass that
     /// performs every terminal `div`/`mod` split (via [`FastDiv`]),
-    /// value-dictionary lookup, and encoding decode exactly once.
+    /// value-dictionary lookup, and encoding decode exactly once. An
+    /// `f32` plan holds the `f64` plan's multipliers rounded to `f32`.
     ///
     /// # Panics
     /// Panics if `C` holds ≥ `u32::MAX` non-separator symbols (the CSR
@@ -1400,7 +1477,6 @@ impl KernelPlan {
     /// Validating here is what lets the kernels run their descriptor
     /// loops without per-symbol bounds checks.
     pub fn compile(m: &CompressedMatrix) -> Self {
-        PLAN_COMPILES.fetch_add(1, Ordering::Relaxed);
         let rows = m.rows();
         let cols = m.cols();
         let first_nt = m.first_nonterminal();
@@ -1447,7 +1523,7 @@ impl KernelPlan {
         // maintaining the partition and the kernels' SAFETY contract
         // (a rule reads only input slots and earlier rule slots).
         let mut push_operand =
-            |mv: f64, iv: u32, rule_mult: &mut Vec<f64>, rule_idx: &mut Vec<u32>| {
+            |mv: f64, iv: u32, rule_mult: &mut Vec<T>, rule_idx: &mut Vec<u32>| {
                 let lr = rule_idx.len() / 2;
                 assert!(
                     (iv as u64) < cols as u64 + lr as u64,
@@ -1457,7 +1533,7 @@ impl KernelPlan {
                     block_ptr.push(lr as u32);
                     block_start = lr;
                 }
-                rule_mult.push(mv);
+                rule_mult.push(T::from_f64(mv));
                 rule_idx.push(iv);
             };
         let mut tails = crate::encoding::RuleExt::cursor(ext);
@@ -1477,6 +1553,10 @@ impl KernelPlan {
         });
         debug_assert_eq!(rule_idx.len(), 2 * q_slots);
         block_ptr.push(q_slots as u32);
+        // Every other array is sized exactly up front; trimming the
+        // partition's growth slack keeps a compiled plan's heap equal
+        // to the same plan loaded back from its blob.
+        block_ptr.shrink_to_fit();
         let seq = m.seq_store();
         let mut seq_mult = Vec::with_capacity(seq.len().saturating_sub(rows));
         let mut seq_idx = Vec::with_capacity(seq.len().saturating_sub(rows));
@@ -1493,7 +1573,7 @@ impl KernelPlan {
                     (iv as u64) < cols as u64 + q_slots as u64,
                     "sequence symbol out of range"
                 );
-                seq_mult.push(mv);
+                seq_mult.push(T::from_f64(mv));
                 seq_idx.push(iv);
             }
         });
@@ -1502,40 +1582,26 @@ impl KernelPlan {
             "sequence descriptor count exceeds the 32-bit CSR index"
         );
         debug_assert_eq!(row_ptr.len(), rows + 1, "separator count mismatch");
-        Self {
-            body: PlanBody {
-                rows,
-                cols,
-                num_rules: q_slots,
-                rule_mult,
-                rule_idx,
-                seq_mult,
-                seq_idx,
-                row_ptr,
-                block_ptr,
-                sparse: std::sync::OnceLock::new(),
-            },
-        }
+        Self::from_body(PlanBody {
+            rows,
+            cols,
+            num_rules: q_slots,
+            rule_mult,
+            rule_idx,
+            seq_mult,
+            seq_idx,
+            row_ptr,
+            block_ptr,
+            sparse: std::sync::OnceLock::new(),
+        })
     }
 
-    /// Demotes this plan to a single-precision [`KernelPlanF32`]: same
-    /// descriptor program, `f32` multipliers and arithmetic.
-    pub fn to_f32(&self) -> KernelPlanF32 {
-        let b = &self.body;
-        KernelPlanF32 {
-            groups: RowGroups::build(&b.row_ptr),
-            body: PlanBody {
-                rows: b.rows,
-                cols: b.cols,
-                num_rules: b.num_rules,
-                rule_mult: b.rule_mult.iter().map(|&v| v as f32).collect(),
-                rule_idx: b.rule_idx.clone(),
-                seq_mult: b.seq_mult.iter().map(|&v| v as f32).collect(),
-                seq_idx: b.seq_idx.clone(),
-                row_ptr: b.row_ptr.clone(),
-                block_ptr: b.block_ptr.clone(),
-                sparse: std::sync::OnceLock::new(),
-            },
+    /// Wraps a validated descriptor program, deriving the precision's
+    /// side table from its row index.
+    fn from_body(body: PlanBody<T>) -> Self {
+        Self {
+            groups: T::build_groups(&body.row_ptr),
+            body,
         }
     }
 
@@ -1566,13 +1632,15 @@ impl KernelPlan {
         self.body.block_ptr.len().saturating_sub(1)
     }
 
-    /// Required scratch length for batch width `k` (`k = 1` for the
-    /// single-vector kernels): the `(cols + |R|) × k` panel plus the
-    /// `cols + |R|` nonzero-flag row the batched left kernel uses.
-    /// Serving loops draw one buffer of this length from a
-    /// [`gcm_matrix::Workspace`] and reuse it across calls.
+    /// Required scratch length **in `f64` words** for batch width `k`
+    /// (`k = 1` for the single-vector kernels): the `(cols + |R|) × k`
+    /// panel plus the `cols + |R|` nonzero-flag row the batched left
+    /// kernel uses. An `f32` plan packs two slots per word, so its
+    /// scratch is roughly half an `f64` plan's. Serving loops draw one
+    /// buffer of this length from a [`gcm_matrix::Workspace`] and reuse
+    /// it across calls.
     pub fn scratch_len(&self, k: usize) -> usize {
-        self.body.scratch_slots(k)
+        T::scratch_words(self.body.scratch_slots(k))
     }
 
     fn check_scratch(&self, len: usize, k: usize) -> Result<(), MatrixError> {
@@ -1584,6 +1652,11 @@ impl KernelPlan {
             });
         }
         Ok(())
+    }
+
+    /// The scalar view of a checked scratch buffer for batch width `k`.
+    fn scratch<'b>(&self, k: usize, buf: &'b mut [f64]) -> &'b mut [T] {
+        T::view_mut(buf, self.body.scratch_slots(k))
     }
 
     /// Right multiplication `y = M·x` (planned Thm 3.4). `buf` must
@@ -1652,6 +1725,13 @@ impl KernelPlan {
     ) -> Result<(), MatrixError> {
         let k = k.max(1);
         self.check_scratch(buf.len(), k)?;
+        let buf = self.scratch(k, buf);
+        if T::PRECISION == Precision::F32 && k == 8 && simd8() {
+            self.body.load_panel(8, x_panel, buf)?;
+            // SAFETY: `simd8` just confirmed AVX2.
+            unsafe { self.body.eval_rules_panel8_avx2(buf) };
+            return Ok(());
+        }
         self.body.begin_right(k, x_panel, buf)
     }
 
@@ -1672,7 +1752,15 @@ impl KernelPlan {
         buf: &[f64],
         y_chunk: &mut [f64],
     ) {
-        self.body.accumulate_rows(rows, k, buf, y_chunk);
+        if let Some(groups) = T::row_groups(&self.groups).filter(|_| k == 8 && simd8()) {
+            // SAFETY: `simd8` just confirmed AVX2.
+            unsafe {
+                self.body
+                    .accumulate_rows8_grouped_avx2(groups, rows, T::view(buf), y_chunk)
+            };
+            return;
+        }
+        self.body.accumulate_rows(rows, k, T::view(buf), y_chunk);
     }
 
     /// Batched left multiplication over row-major panels: one forward
@@ -1696,7 +1784,13 @@ impl KernelPlan {
         }
         self.body.check_panels(x_panel.len(), y_panel.len(), k)?;
         self.check_scratch(buf.len(), k)?;
-        self.body.left_panel(k, y_panel, x_panel, buf);
+        let buf = self.scratch(k, buf);
+        if T::PRECISION == Precision::F32 && k == 8 && simd8() {
+            // SAFETY: `simd8` just confirmed AVX2.
+            unsafe { self.body.left_panel8_avx2(y_panel, x_panel, buf) };
+        } else {
+            self.body.left_panel(k, y_panel, x_panel, buf);
+        }
         Ok(())
     }
 
@@ -1748,318 +1842,45 @@ impl KernelPlan {
         }
         self.check_scratch(buf.len(), 1)?;
         validate_sparse_x(self.body.cols, x_nnz)?;
-        self.body.right_single_sparse_with(x_nnz, y, buf, strategy);
-        Ok(())
-    }
-
-    /// Serialises the compiled plan as a [`PLAN_MAGIC`] blob: fixed
-    /// little-endian copies of the six descriptor arrays behind a
-    /// varint dimension header. The form is what makes plan
-    /// persistence pay — [`from_bytes`](Self::from_bytes) restores it
-    /// with straight array copies, no RePair decode and no recompile.
-    pub fn to_bytes(&self) -> Vec<u8> {
-        let mut out = Vec::new();
-        self.body.write_bytes(&mut out, PLAN_PRECISION_F64);
-        out
-    }
-
-    /// Deserialises a blob written by [`to_bytes`](Self::to_bytes) —
-    /// a validated cast into freshly sized buffers that re-checks every
-    /// structural invariant [`compile`](Self::compile) asserts (the
-    /// kernels' `get_unchecked` loops depend on them), and performs
-    /// **zero** grammar decode and **zero** plan compilation
-    /// ([`plan_compiles`] stays flat). `None` on any violation.
-    pub fn from_bytes(data: &[u8]) -> Option<KernelPlan> {
-        Some(KernelPlan {
-            body: PlanBody::read_bytes(data, PLAN_PRECISION_F64)?,
-        })
-    }
-}
-
-impl HeapSize for KernelPlan {
-    fn heap_bytes(&self) -> usize {
-        self.body.heap_bytes()
-    }
-}
-
-/// Views an `f64` workspace buffer as twice as many `f32` slots.
-///
-/// `f64` has size 8 / alignment 8; `f32` size 4 / alignment 4, and
-/// neither type has invalid bit patterns — so the reinterpretation is
-/// layout-sound and lets the `f32` plans draw scratch from the serve
-/// layer's existing [`gcm_matrix::Workspace`] free lists without a
-/// second buffer pool.
-fn as_f32_mut(buf: &mut [f64]) -> &mut [f32] {
-    // SAFETY: see above — same allocation and byte length, looser
-    // alignment, both element types valid for every bit pattern.
-    unsafe { std::slice::from_raw_parts_mut(buf.as_mut_ptr().cast::<f32>(), buf.len() * 2) }
-}
-
-/// Read-only counterpart of [`as_f32_mut`].
-fn as_f32(buf: &[f64]) -> &[f32] {
-    // SAFETY: as in `as_f32_mut`.
-    unsafe { std::slice::from_raw_parts(buf.as_ptr().cast::<f32>(), buf.len() * 2) }
-}
-
-/// The single-precision variant of [`KernelPlan`]: the identical
-/// descriptor program with `f32` multipliers, `f32` scratch, and `f32`
-/// accumulation — half the multiplier heap, double the SIMD lanes.
-///
-/// Panels stay `f64` (inputs demoted on the scratch copy, outputs
-/// promoted on the store), and scratch is the serve layer's `f64`
-/// workspace buffers viewed as `f32` pairs, so the type slots into
-/// every existing serving path. Results match an `f32` evaluation of
-/// the descriptor program exactly (pinned by `tests/plan_f32_props.rs`)
-/// but differ from the `f64` plans by `f32` rounding.
-#[derive(Debug, Clone)]
-pub struct KernelPlanF32 {
-    body: PlanBody<f32>,
-    /// Rows bucketed by descriptor count for the branch-uniform,
-    /// pair-interleaved accumulation walk (see [`RowGroups`]).
-    groups: RowGroups,
-}
-
-impl KernelPlanF32 {
-    /// Compiles `m` straight to a single-precision plan
-    /// ([`KernelPlan::compile`] followed by [`KernelPlan::to_f32`]).
-    ///
-    /// # Panics
-    /// As [`KernelPlan::compile`].
-    pub fn compile(m: &CompressedMatrix) -> Self {
-        KernelPlan::compile(m).to_f32()
-    }
-
-    /// Number of rows.
-    pub fn rows(&self) -> usize {
-        self.body.rows
-    }
-
-    /// Number of columns.
-    pub fn cols(&self) -> usize {
-        self.body.cols
-    }
-
-    /// Number of grammar rules `|R|`.
-    pub fn num_rules(&self) -> usize {
-        self.body.num_rules
-    }
-
-    /// Number of non-separator descriptors compiled from `C`.
-    pub fn seq_descriptors(&self) -> usize {
-        self.body.seq_idx.len()
-    }
-
-    /// Number of dependency-free rule blocks (see
-    /// [`KernelPlan::rule_blocks`]).
-    pub fn rule_blocks(&self) -> usize {
-        self.body.block_ptr.len().saturating_sub(1)
-    }
-
-    /// Required scratch length **in `f64` units** for batch width `k`:
-    /// the `f32` panel-plus-flags region packed two slots per `f64`
-    /// word, so the same [`gcm_matrix::Workspace`] buffers back both
-    /// plan precisions. Roughly half a [`KernelPlan::scratch_len`].
-    pub fn scratch_len(&self, k: usize) -> usize {
-        self.body.scratch_slots(k).div_ceil(2)
-    }
-
-    fn check_scratch(&self, len: usize, k: usize) -> Result<(), MatrixError> {
-        if len != self.scratch_len(k) {
-            return Err(MatrixError::DimensionMismatch {
-                expected: self.scratch_len(k),
-                actual: len,
-                what: "plan scratch length",
-            });
-        }
-        Ok(())
-    }
-
-    /// The `f32` view of a checked `f64` scratch buffer, trimmed to the
-    /// exact slot count the kernels expect.
-    fn scratch32<'b>(&self, k: usize, buf: &'b mut [f64]) -> &'b mut [f32] {
-        &mut as_f32_mut(buf)[..self.body.scratch_slots(k)]
-    }
-
-    /// Right multiplication `y = M·x` in `f32`. `buf` must have length
-    /// [`scratch_len(1)`](Self::scratch_len) (in `f64` units).
-    ///
-    /// # Errors
-    /// Fails on dimension mismatches (including `buf`).
-    pub fn right_multiply(
-        &self,
-        x: &[f64],
-        y: &mut [f64],
-        buf: &mut [f64],
-    ) -> Result<(), MatrixError> {
-        self.right_multiply_panel(1, x, y, buf)
-    }
-
-    /// Left multiplication `xᵗ = yᵗ·M` in `f32`. `buf` must have length
-    /// [`scratch_len(1)`](Self::scratch_len) (in `f64` units).
-    ///
-    /// # Errors
-    /// Fails on dimension mismatches (including `buf`).
-    pub fn left_multiply(
-        &self,
-        y: &[f64],
-        x: &mut [f64],
-        buf: &mut [f64],
-    ) -> Result<(), MatrixError> {
-        self.left_multiply_panel(1, y, x, buf)
-    }
-
-    /// Batched right multiplication over row-major `k`-wide `f64`
-    /// panels, evaluated in `f32`.
-    ///
-    /// # Errors
-    /// Fails on dimension mismatches (including `buf`).
-    pub fn right_multiply_panel(
-        &self,
-        k: usize,
-        x_panel: &[f64],
-        y_panel: &mut [f64],
-        buf: &mut [f64],
-    ) -> Result<(), MatrixError> {
-        if k == 0 {
-            return self.body.check_panels(x_panel.len(), y_panel.len(), 0);
-        }
-        self.body.check_panels(x_panel.len(), y_panel.len(), k)?;
-        self.begin_right_panel(k, x_panel, buf)?;
-        self.accumulate_rows_panel(0..self.body.rows, k, buf, y_panel);
-        Ok(())
-    }
-
-    /// Sequential head of a right multiplication (see
-    /// [`KernelPlan::begin_right_panel`]); fills the `f32` view of
-    /// `buf`, after which disjoint row ranges accumulate concurrently.
-    ///
-    /// # Errors
-    /// Fails on dimension mismatches (including `buf`).
-    pub fn begin_right_panel(
-        &self,
-        k: usize,
-        x_panel: &[f64],
-        buf: &mut [f64],
-    ) -> Result<(), MatrixError> {
-        let k = k.max(1);
-        self.check_scratch(buf.len(), k)?;
         self.body
-            .begin_right_f32(k, x_panel, self.scratch32(k, buf))
-    }
-
-    /// Row-range accumulation out of a scratch buffer prepared by
-    /// [`begin_right_panel`](Self::begin_right_panel); read-only on
-    /// `buf`, safe over disjoint ranges concurrently.
-    ///
-    /// # Panics
-    /// As [`KernelPlan::accumulate_rows_panel`].
-    pub fn accumulate_rows_panel(
-        &self,
-        rows: Range<usize>,
-        k: usize,
-        buf: &[f64],
-        y_chunk: &mut [f64],
-    ) {
-        if k == 8 && simd8() {
-            // SAFETY: `simd8` just confirmed AVX2.
-            unsafe {
-                self.body
-                    .accumulate_rows8_grouped_avx2(&self.groups, rows, as_f32(buf), y_chunk)
-            };
-            return;
-        }
-        self.body.accumulate_rows(rows, k, as_f32(buf), y_chunk);
-    }
-
-    /// Batched left multiplication over row-major `f64` panels,
-    /// evaluated in `f32` (see [`KernelPlan::left_multiply_panel`]).
-    ///
-    /// # Errors
-    /// Fails on dimension mismatches (including `buf`).
-    pub fn left_multiply_panel(
-        &self,
-        k: usize,
-        y_panel: &[f64],
-        x_panel: &mut [f64],
-        buf: &mut [f64],
-    ) -> Result<(), MatrixError> {
-        if k == 0 {
-            return self.body.check_panels(x_panel.len(), y_panel.len(), 0);
-        }
-        self.body.check_panels(x_panel.len(), y_panel.len(), k)?;
-        self.check_scratch(buf.len(), k)?;
-        self.body
-            .left_panel_f32(k, y_panel, x_panel, self.scratch32(k, buf));
+            .right_single_sparse_with(x_nnz, y, self.scratch(1, buf), strategy);
         Ok(())
     }
 
-    /// Sparse-input right multiplication in `f32` (see
-    /// [`KernelPlan::right_multiply_sparse`]); `buf` is in `f64` units
-    /// as everywhere on this type.
-    ///
-    /// # Errors
-    /// As [`KernelPlan::right_multiply_sparse`].
-    pub fn right_multiply_sparse(
-        &self,
-        x_nnz: &[(u32, f64)],
-        y: &mut [f64],
-        buf: &mut [f64],
-    ) -> Result<(), MatrixError> {
-        self.right_multiply_sparse_with(x_nnz, y, buf, SparseStrategy::Auto)
-    }
-
-    /// [`right_multiply_sparse`](Self::right_multiply_sparse) with the
-    /// execution arm pinned (see
-    /// [`KernelPlan::right_multiply_sparse_with`]).
-    ///
-    /// # Errors
-    /// As [`KernelPlan::right_multiply_sparse`].
-    pub fn right_multiply_sparse_with(
-        &self,
-        x_nnz: &[(u32, f64)],
-        y: &mut [f64],
-        buf: &mut [f64],
-        strategy: SparseStrategy,
-    ) -> Result<(), MatrixError> {
-        if y.len() != self.body.rows {
-            return Err(MatrixError::DimensionMismatch {
-                expected: self.body.rows,
-                actual: y.len(),
-                what: "y length",
-            });
-        }
-        self.check_scratch(buf.len(), 1)?;
-        validate_sparse_x(self.body.cols, x_nnz)?;
-        self.body
-            .right_single_sparse_with(x_nnz, y, self.scratch32(1, buf), strategy);
-        Ok(())
-    }
-
-    /// Serialises the single-precision plan as a [`PLAN_MAGIC`] blob
-    /// (see [`KernelPlan::to_bytes`]); the row-group walk order is
-    /// derived metadata, rebuilt from `row_ptr` on load rather than
+    /// Serialises the compiled plan as a [`PLAN_MAGIC`] blob tagged with
+    /// its [`Precision`]: fixed little-endian copies of the six
+    /// descriptor arrays behind a varint dimension header. The form is
+    /// what makes plan persistence pay —
+    /// [`from_bytes`](Self::from_bytes) restores it with straight array
+    /// copies, no RePair decode and no recompile. The `f32` row groups
+    /// are derived metadata, rebuilt from `row_ptr` on load rather than
     /// persisted.
     pub fn to_bytes(&self) -> Vec<u8> {
         let mut out = Vec::new();
-        self.body.write_bytes(&mut out, PLAN_PRECISION_F32);
+        self.body.write_bytes(&mut out, T::PRECISION.tag());
         out
     }
 
-    /// Deserialises a blob written by [`to_bytes`](Self::to_bytes) with
-    /// the same validated-cast contract as [`KernelPlan::from_bytes`];
-    /// the `RowGroups` side table is rebuilt from the validated
-    /// `row_ptr` (an `O(rows log rows)` sort — independent of grammar
-    /// size, and correct by construction). `None` on any violation.
-    pub fn from_bytes(data: &[u8]) -> Option<KernelPlanF32> {
-        let body = PlanBody::read_bytes(data, PLAN_PRECISION_F32)?;
-        let groups = RowGroups::build(&body.row_ptr);
-        Some(KernelPlanF32 { body, groups })
+    /// Deserialises a blob written by [`to_bytes`](Self::to_bytes) at
+    /// the same precision — a validated cast into freshly sized buffers
+    /// that re-checks every structural invariant
+    /// [`compile`](Self::compile) asserts (the kernels'
+    /// `get_unchecked` loops depend on them), and performs **zero**
+    /// grammar decode and **zero** plan compilation. An `f32` plan
+    /// rebuilds its row groups from the validated `row_ptr` (an
+    /// `O(rows log rows)` sort, independent of grammar size). `None` on
+    /// any violation, including a blob of the other precision.
+    pub fn from_bytes(data: &[u8]) -> Option<Self> {
+        Some(Self::from_body(PlanBody::read_bytes(
+            data,
+            T::PRECISION.tag(),
+        )?))
     }
 }
 
-impl HeapSize for KernelPlanF32 {
+impl<T: PlanScalar> HeapSize for KernelPlan<T> {
     fn heap_bytes(&self) -> usize {
-        self.body.heap_bytes() + self.groups.heap_bytes()
+        self.body.heap_bytes() + T::row_groups(&self.groups).map_or(0, HeapSize::heap_bytes)
     }
 }
 
@@ -2123,7 +1944,7 @@ mod tests {
         let csrv = CsrvMatrix::from_dense(&dense).unwrap();
         let cm = CompressedMatrix::compress(&csrv, Encoding::ReFse);
         let plan = cm.plan();
-        let plan32 = plan.to_f32();
+        let plan32 = KernelPlan::<f32>::compile(&cm);
         assert_eq!(plan32.rows(), 48);
         assert_eq!(plan32.cols(), 9);
         assert_eq!(plan32.num_rules(), plan.num_rules());
@@ -2156,9 +1977,7 @@ mod tests {
     fn f32_row_ranges_compose_to_the_full_product() {
         let dense = repetitive(37, 7);
         let csrv = CsrvMatrix::from_dense(&dense).unwrap();
-        let plan32 = CompressedMatrix::compress(&csrv, Encoding::ReIv)
-            .plan()
-            .to_f32();
+        let plan32 = KernelPlan::<f32>::compile(&CompressedMatrix::compress(&csrv, Encoding::ReIv));
         let k = 3usize;
         let x_panel: Vec<f64> = (0..7 * k).map(|i| (i % 11) as f64 - 5.0).collect();
         let mut whole = vec![0.0; 37 * k];
@@ -2222,7 +2041,8 @@ mod tests {
     fn dimension_and_scratch_checks() {
         let dense = repetitive(6, 5);
         let csrv = CsrvMatrix::from_dense(&dense).unwrap();
-        let plan = CompressedMatrix::compress(&csrv, Encoding::Re32).plan();
+        let cm = CompressedMatrix::compress(&csrv, Encoding::Re32);
+        let plan = cm.plan();
         let mut buf = vec![0.0; plan.scratch_len(1)];
         let mut y = vec![0.0; 6];
         assert!(plan.right_multiply(&[0.0; 3], &mut y, &mut buf).is_err());
@@ -2230,7 +2050,7 @@ mod tests {
         assert!(plan.right_multiply(&[0.0; 5], &mut y, &mut short).is_err());
         let mut x = vec![0.0; 5];
         assert!(plan.left_multiply(&[0.0; 2], &mut x, &mut buf).is_err());
-        let plan32 = plan.to_f32();
+        let plan32 = KernelPlan::<f32>::compile(&cm);
         let mut buf32 = vec![0.0; plan32.scratch_len(1)];
         assert!(plan32
             .right_multiply(&[0.0; 3], &mut y, &mut buf32)
@@ -2251,9 +2071,11 @@ mod tests {
             let cm = CompressedMatrix::compress(&csrv, enc);
             let plan = cm.plan();
             let bytes = plan.to_bytes();
-            let before = plan_compiles();
-            let back = KernelPlan::from_bytes(&bytes).expect("valid blob");
-            assert_eq!(plan_compiles(), before, "load must not compile");
+            let back = KernelPlan::<f64>::from_bytes(&bytes).expect("valid blob");
+            // The loaded plan is the persisted program, descriptor for
+            // descriptor: a cast, not a recompile.
+            assert_eq!(back.to_bytes(), bytes, "{}", enc.name());
+            assert_eq!(back.heap_bytes(), plan.heap_bytes());
             assert_eq!(back.rows(), plan.rows());
             assert_eq!(back.cols(), plan.cols());
             assert_eq!(back.num_rules(), plan.num_rules());
@@ -2273,11 +2095,19 @@ mod tests {
             assert_eq!(x_a, x_b, "{} left", enc.name());
             // f32 precision: its own tag, its own roundtrip, rebuilt
             // row groups included in the heap accounting.
-            let plan32 = plan.to_f32();
+            let plan32 = KernelPlan::<f32>::compile(&cm);
             let bytes32 = plan32.to_bytes();
-            assert!(KernelPlan::from_bytes(&bytes32).is_none(), "tag mismatch");
-            assert!(KernelPlanF32::from_bytes(&bytes).is_none(), "tag mismatch");
-            let back32 = KernelPlanF32::from_bytes(&bytes32).expect("valid f32 blob");
+            assert!(
+                KernelPlan::<f64>::from_bytes(&bytes32).is_none(),
+                "tag mismatch"
+            );
+            assert!(
+                KernelPlan::<f32>::from_bytes(&bytes).is_none(),
+                "tag mismatch"
+            );
+            let back32 = KernelPlan::<f32>::from_bytes(&bytes32).expect("valid f32 blob");
+            assert_eq!(back32.to_bytes(), bytes32, "{} f32", enc.name());
+            assert!(back32.heap_bytes() > back32.body.heap_bytes());
             assert_eq!(back32.heap_bytes(), plan32.heap_bytes());
             let k = 8usize;
             let x_panel: Vec<f64> = (0..9 * k).map(|i| (i % 7) as f64 * 0.5 - 1.0).collect();
@@ -2302,12 +2132,15 @@ mod tests {
         let bytes = plan.to_bytes();
         // Truncation at every prefix length short of the full blob.
         for end in (0..bytes.len()).step_by(13) {
-            assert!(KernelPlan::from_bytes(&bytes[..end]).is_none(), "len {end}");
+            assert!(
+                KernelPlan::<f64>::from_bytes(&bytes[..end]).is_none(),
+                "len {end}"
+            );
         }
         // Trailing garbage breaks the exact-length contract.
         let mut long = bytes.clone();
         long.push(0);
-        assert!(KernelPlan::from_bytes(&long).is_none());
+        assert!(KernelPlan::<f64>::from_bytes(&long).is_none());
         // An out-of-range descriptor index (scratch slot past
         // `cols + |R|`) must be caught by the re-validation pass even
         // though the blob is otherwise well-formed. seq_idx entries sit
@@ -2321,7 +2154,7 @@ mod tests {
         for i in (PLAN_MAGIC.len() + 1..bytes.len()).step_by(5) {
             let mut bad = bytes.clone();
             bad[i] = bad[i].wrapping_add(0x40);
-            if let Some(p) = KernelPlan::from_bytes(&bad) {
+            if let Some(p) = KernelPlan::<f64>::from_bytes(&bad) {
                 let mut buf = vec![0.0; p.scratch_len(1)];
                 let mut y = vec![0.0; p.rows()];
                 let _ = p.right_multiply(&x[..p.cols().min(6)], &mut y, &mut buf);
@@ -2330,10 +2163,10 @@ mod tests {
         // Bad magic / bad precision tag.
         let mut bad = bytes.clone();
         bad[0] ^= 0xff;
-        assert!(KernelPlan::from_bytes(&bad).is_none());
+        assert!(KernelPlan::<f64>::from_bytes(&bad).is_none());
         let mut bad = bytes;
         bad[PLAN_MAGIC.len()] = 9;
-        assert!(KernelPlan::from_bytes(&bad).is_none());
+        assert!(KernelPlan::<f64>::from_bytes(&bad).is_none());
     }
 
     #[test]
@@ -2352,7 +2185,7 @@ mod tests {
         for enc in Encoding::ALL {
             let cm = CompressedMatrix::compress(&csrv, enc);
             let plan = cm.plan();
-            let plan32 = plan.to_f32();
+            let plan32 = KernelPlan::<f32>::compile(&cm);
             let mut buf = vec![0.0; plan.scratch_len(1)];
             let mut buf32 = vec![0.0; plan32.scratch_len(1)];
             for nnz in &patterns {
@@ -2494,7 +2327,7 @@ mod tests {
             let mut bufk = vec![0.0; plan.scratch_len(k)];
             plan.right_multiply_panel(k, &x_panel, &mut y_panel, &mut bufk)
                 .unwrap();
-            let plan32 = plan.to_f32();
+            let plan32 = KernelPlan::<f32>::compile(&cm);
             let mut y_panel32 = vec![0.0; 64 * k];
             let mut bufk32 = vec![0.0; plan32.scratch_len(k)];
             plan32
@@ -2534,9 +2367,12 @@ mod tests {
         // Lowering means MR plans serialise as ordinary GCMPLAN1 blobs
         // — no new container format, no new validation surface.
         assert_eq!(&bytes[..PLAN_MAGIC.len()], PLAN_MAGIC);
-        let before = plan_compiles();
-        let back = KernelPlan::from_bytes(&bytes).expect("valid blob");
-        assert_eq!(plan_compiles(), before, "load must not compile");
+        let back = KernelPlan::<f64>::from_bytes(&bytes).expect("valid blob");
+        assert_eq!(
+            back.to_bytes(),
+            bytes,
+            "load restores the persisted program"
+        );
         assert_eq!(back.num_rules(), cm.lowered_rules());
         let x: Vec<f64> = (0..9).map(|i| i as f64 * 0.5 - 2.0).collect();
         let mut buf = vec![0.0; plan.scratch_len(1)];
@@ -2547,7 +2383,10 @@ mod tests {
         assert_eq!(y_a, y_b);
         // Truncations of the MR blob are rejected like any other.
         for end in (0..bytes.len()).step_by(17) {
-            assert!(KernelPlan::from_bytes(&bytes[..end]).is_none(), "len {end}");
+            assert!(
+                KernelPlan::<f64>::from_bytes(&bytes[..end]).is_none(),
+                "len {end}"
+            );
         }
     }
 
@@ -2587,7 +2426,7 @@ mod tests {
             .unwrap();
         assert_eq!(y, vec![0.0; 4]);
         assert!(plan.heap_bytes() >= (4 + 1) * 4);
-        let plan32 = plan.to_f32();
+        let plan32 = KernelPlan::<f32>::compile(&cm);
         let mut buf32 = vec![0.0; plan32.scratch_len(1)];
         let mut y32 = vec![1.0; 4];
         plan32

@@ -1,6 +1,6 @@
 //! Property-based differential tests of the single-precision plans.
 //!
-//! [`KernelPlanF32`] promises results **bit-identical to an `f32`
+//! `KernelPlan<f32>` promises results **bit-identical to an `f32`
 //! evaluation of the compiled descriptor program in the same order**
 //! (`crates/core/src/plan.rs` module docs). These tests hold it to that:
 //! an independent oracle rebuilds the descriptor program from the public
@@ -12,7 +12,7 @@
 
 use proptest::prelude::*;
 
-use gcm_core::{CompressedMatrix, Encoding};
+use gcm_core::{CompressedMatrix, Encoding, KernelPlan};
 use gcm_matrix::{CsrvMatrix, DenseMatrix};
 
 /// The descriptor program exactly as `KernelPlan::compile` builds it,
@@ -196,7 +196,7 @@ proptest! {
         for enc in Encoding::ALL {
             let cm = CompressedMatrix::compress(&csrv, enc);
             let p = program(&cm);
-            let plan = cm.plan_f32();
+            let plan = KernelPlan::<f32>::compile(&cm);
             for k in [1usize, 2, 3, 8] {
                 let x_panel = panel(cm.cols() * k, seed ^ (k as u64));
                 let expect = p.right(k, &x_panel);
@@ -224,7 +224,7 @@ proptest! {
         for enc in Encoding::ALL {
             let cm = CompressedMatrix::compress(&csrv, enc);
             let p = program(&cm);
-            let plan = cm.plan_f32();
+            let plan = KernelPlan::<f32>::compile(&cm);
             let y1 = panel(cm.rows(), seed);
             let expect1 = p.left1(&y1);
             let mut x1 = vec![0.0; cm.cols()];
@@ -263,7 +263,7 @@ proptest! {
     ) {
         let csrv = CsrvMatrix::from_dense(&dense).unwrap();
         let cm = CompressedMatrix::compress(&csrv, Encoding::ReFse);
-        let plan = cm.plan_f32();
+        let plan = KernelPlan::<f32>::compile(&cm);
         let x = panel(cm.cols(), seed);
         let mut y_ref = vec![0.0; cm.rows()];
         dense.right_multiply(&x, &mut y_ref).unwrap();

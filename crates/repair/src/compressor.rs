@@ -26,8 +26,8 @@ use crate::slp::{MrSlp, Slp};
 /// Process-wide count of grammar constructions (RePair or MR-RePair).
 ///
 /// The incremental-rebuild path promises to re-run exactly the changed
-/// shards' grammar stages; like `gcm_core::plan_compiles()`, this counter
-/// lets tests assert that promise instead of trusting it.
+/// shards' grammar stages; this counter lets tests assert that promise
+/// instead of trusting it.
 static GRAMMAR_BUILDS: AtomicUsize = AtomicUsize::new(0);
 
 /// Number of grammar compressions performed by this process so far.

@@ -86,8 +86,8 @@ use gcm_pipeline::{BuildConfig, BuildStats, EncodingChoice};
 use gcm_reorder::ReorderAlgorithm;
 use gcm_serve::protocol::Client;
 use gcm_serve::{
-    compress_incremental, Backend, BuildOptions, Engine, GrammarChoice, ModelStore, Registry,
-    ReorderMode, ServeOptions, Server, ServerConfig, ShardTable, ShardedModel,
+    compress_incremental, Backend, BuildOptions, Engine, GrammarChoice, ModelStore, Precision,
+    Registry, ReorderMode, ServeOptions, Server, ServerConfig, ShardTable, ShardedModel,
 };
 
 /// `println!` that tolerates a closed stdout (e.g. piped through
@@ -315,6 +315,24 @@ fn secs(d: std::time::Duration) -> String {
     format!("{:.3}s", d.as_secs_f64())
 }
 
+/// The serve options `--plan` / `--plan-f32` select (`--plan-f32`
+/// implies `--plan`); `planned` turns plans on without either flag, as
+/// `--emit-plans` does.
+fn serve_options(args: &Args, planned: bool) -> ServeOptions {
+    if args.has("plan-f32") {
+        ServeOptions::planned_f32()
+    } else if planned || args.has("plan") {
+        ServeOptions::planned()
+    } else {
+        ServeOptions::default()
+    }
+}
+
+/// `"f32"` or `"f64"`: the precision a planned model serves in.
+fn plan_label(model: &ShardedModel) -> &'static str {
+    model.plan_precision().map_or("f64", Precision::name)
+}
+
 /// Prints the staged build's per-stage timings and per-shard table.
 fn report_build_stats(stats: &BuildStats) {
     let (reorder, grammar, encode) = stats.stage_cpu_totals();
@@ -413,11 +431,7 @@ fn cmd_compress(args: &Args) -> Result<(), String> {
     let stats = artifacts.stats.clone();
     let model = ShardedModel::from_artifacts(artifacts);
     let plan_time = if emit_plans {
-        let serve = if args.has("plan-f32") {
-            ServeOptions::planned_f32()
-        } else {
-            ServeOptions::planned()
-        };
+        let serve = serve_options(args, true);
         let t_plan = Instant::now();
         model.prewarm_with(1, &serve);
         Some(t_plan.elapsed())
@@ -464,7 +478,7 @@ fn cmd_compress(args: &Args) -> Result<(), String> {
         if model.is_planned() {
             say!(
                 "  plans      : {} compiled ({}) and persisted, {} heap bytes — loads cast, not compile",
-                if model.is_planned_f32() { "f32" } else { "f64" },
+                plan_label(&model),
                 secs(plan_time),
                 model.plan_heap_bytes(),
             );
@@ -640,11 +654,13 @@ fn cmd_inspect(args: &Args) -> Result<(), String> {
             if plan_bytes > 0 {
                 say!(
                     "  plans      : persisted ({plan_bytes} bytes, {}) — cast on load, no compile",
-                    if table.plan_f32.iter().any(|&f| f) {
-                        "f32"
-                    } else {
-                        "f64"
-                    },
+                    table
+                        .plan_precision
+                        .iter()
+                        .copied()
+                        .flatten()
+                        .max()
+                        .map_or("f64", Precision::name),
                 );
             } else {
                 say!("  plans      : none persisted — compiled at prewarm under --plan");
@@ -771,13 +787,7 @@ fn cmd_multiply(args: &Args) -> Result<(), String> {
     let left = args.has("left");
     let k: usize = args.bounded_flag("batch", 1, 1)?;
     let repeat: usize = args.bounded_flag("repeat", 1, 1)?;
-    let serve = if args.has("plan-f32") {
-        ServeOptions::planned_f32()
-    } else if args.has("plan") {
-        ServeOptions::planned()
-    } else {
-        ServeOptions::default()
-    };
+    let serve = serve_options(args, false);
     let t_load = Instant::now();
     let model = ShardedModel::load(Path::new(input)).map_err(|e| e.to_string())?;
     let load_time = t_load.elapsed();
@@ -795,7 +805,7 @@ fn cmd_multiply(args: &Args) -> Result<(), String> {
         if model.is_planned() {
             format!(
                 " | planned ({}, {} plan heap bytes on top of {} stored)",
-                if model.is_planned_f32() { "f32" } else { "f64" },
+                plan_label(&model),
                 model.plan_heap_bytes(),
                 model.stored_bytes(),
             )
@@ -898,13 +908,7 @@ fn cmd_solve(args: &Args) -> Result<(), String> {
     let iters: usize = args.bounded_flag("iters", 100, 1)?;
     let tol: f64 = args.parsed_flag("tol", 1e-9f64)?;
     let damping: f64 = args.parsed_flag("damping", 0.85f64)?;
-    let serve = if args.has("plan-f32") {
-        ServeOptions::planned_f32()
-    } else if args.has("plan") {
-        ServeOptions::planned()
-    } else {
-        ServeOptions::default()
-    };
+    let serve = serve_options(args, false);
     let t_load = Instant::now();
     let model = ShardedModel::load(Path::new(input)).map_err(|e| e.to_string())?;
     let load_time = t_load.elapsed();
@@ -921,10 +925,7 @@ fn cmd_solve(args: &Args) -> Result<(), String> {
         secs(load_time),
         secs(prewarm_time),
         if model.is_planned() {
-            format!(
-                " | planned ({})",
-                if model.is_planned_f32() { "f32" } else { "f64" }
-            )
+            format!(" | planned ({})", plan_label(&model))
         } else {
             String::new()
         },
@@ -1159,13 +1160,7 @@ fn cmd_serve(args: &Args) -> Result<(), String> {
     let batch_width = args.bounded_flag("batch-width", 8, 1)?;
     let deadline_us: u64 = args.parsed_flag("deadline-us", 200u64)?;
     let max_inflight = args.bounded_flag("max-inflight", 256, 1)?;
-    let serve_opts = if args.has("plan-f32") {
-        ServeOptions::planned_f32()
-    } else if args.has("plan") {
-        ServeOptions::planned()
-    } else {
-        ServeOptions::default()
-    };
+    let serve_opts = serve_options(args, false);
     let store = ModelStore::open(store_dir.as_str()).map_err(|e| e.to_string())?;
     let names = store.list().map_err(|e| e.to_string())?;
     let registry = Registry::with_options(store, batch_width, serve_opts);

@@ -25,11 +25,11 @@
 //! post-paper encoding (`re_fse`), so readers that predate the encoding
 //! reject the file at the header instead of deep inside a payload.
 //! **Version 4** appends an optional **plan section**: the compiled
-//! [`gcm_core::KernelPlan`] / [`gcm_core::KernelPlanF32`] descriptor
-//! arrays of every planned shard, persisted in the fixed
-//! little-endian `GCMPLAN1` blob form (one blob per row block), so a
-//! loader restores them with a validated cast — no RePair decode, no
-//! recompilation ([`gcm_core::plan_compiles`] stays flat), load time
+//! [`gcm_core::KernelPlan`] descriptor arrays (either precision) of
+//! every planned shard, persisted in the fixed little-endian `GCMPLAN1`
+//! blob form (one blob per row block), so a loader restores them with a
+//! validated cast — no RePair decode, no recompilation
+//! ([`ShardedModel::restored_plans`] counts them), load time
 //! independent of grammar size. **Version 5** adds per-shard **grammar
 //! provenance**: a stage tag naming the grammar construction (RePair or
 //! MR-RePair) plus the FNV-64 fingerprint of the shard's build-time
@@ -69,13 +69,13 @@ use std::fmt;
 use std::path::Path;
 
 use gcm_core::serial;
-use gcm_core::{BlockedMatrix, KernelPlan, KernelPlanF32};
+use gcm_core::{BlockedMatrix, KernelPlan, PlanScalar, Precision};
 use gcm_encodings::varint;
 use gcm_matrix::{io as mio, MatrixError, ParallelCsrv};
 use gcm_pipeline::GrammarStage;
 use gcm_reorder::ReorderAlgorithm;
 
-use crate::model::{Backend, Model, ModelPlan};
+use crate::model::{with_plans, Backend, Model, ModelPlan};
 use crate::sharded::ShardedModel;
 
 /// Container magic.
@@ -347,15 +347,11 @@ pub fn to_bytes_with_plans(model: &ShardedModel) -> Vec<u8> {
     encode(model, true)
 }
 
-/// One plan's on-disk form: the kind byte (1 = `f64`, 2 = `f32`) and
-/// one `GCMPLAN1` blob per row block.
-pub(crate) fn plan_blobs(plan: &ModelPlan) -> (u8, Vec<Vec<u8>>) {
-    match plan {
-        ModelPlan::Compressed(p) => (1, vec![p.to_bytes()]),
-        ModelPlan::Blocked(ps) => (1, ps.iter().map(KernelPlan::to_bytes).collect()),
-        ModelPlan::CompressedF32(p) => (2, vec![p.to_bytes()]),
-        ModelPlan::BlockedF32(ps) => (2, ps.iter().map(KernelPlanF32::to_bytes).collect()),
-    }
+/// One plan's on-disk form: its precision (whose tag is the kind byte:
+/// 1 = `f64`, 2 = `f32`) and one `GCMPLAN1` blob per row block.
+pub(crate) fn plan_blobs(plan: &ModelPlan) -> (Precision, Vec<Vec<u8>>) {
+    let blobs = with_plans!(plan, |ps| ps.iter().map(KernelPlan::to_bytes).collect());
+    (plan.precision(), blobs)
 }
 
 fn encode(model: &ShardedModel, with_plans: bool) -> Vec<u8> {
@@ -413,8 +409,8 @@ fn encode(model: &ShardedModel, with_plans: bool) -> Vec<u8> {
             match shard.plan().filter(|_| with_plans) {
                 None => out.push(0),
                 Some(plan) => {
-                    let (kind, blobs) = plan_blobs(plan);
-                    out.push(kind);
+                    let (precision, blobs) = plan_blobs(plan);
+                    out.push(precision.tag());
                     varint::write_u64(&mut out, blobs.len() as u64);
                     for blob in &blobs {
                         varint::write_u64(&mut out, blob.len() as u64);
@@ -453,10 +449,9 @@ pub struct ShardTable {
     /// means this container loads its plans by validated cast instead
     /// of compiling them.
     pub plan_ranges: Vec<Vec<std::ops::Range<usize>>>,
-    /// Whether shard `i`'s persisted plans are single-precision
-    /// (`f32`); meaningful only where
-    /// [`plan_ranges`](Self::plan_ranges) is non-empty.
-    pub plan_f32: Vec<bool>,
+    /// Precision of shard `i`'s persisted plans; `None` exactly where
+    /// [`plan_ranges`](Self::plan_ranges) is empty.
+    pub plan_precision: Vec<Option<Precision>>,
     /// Per-shard grammar-stage provenance (all `None` below
     /// [`VERSION_GRAMMAR`], and for shards written without a
     /// grammar-stage policy).
@@ -565,7 +560,7 @@ impl ShardTable {
             pos = end;
         }
         let mut plan_ranges = vec![Vec::new(); num_shards];
-        let mut plan_f32 = vec![false; num_shards];
+        let mut plan_precision = vec![None; num_shards];
         if version >= VERSION_PLANS {
             for i in 0..num_shards {
                 let kind = *data
@@ -576,10 +571,10 @@ impl ShardTable {
                 if kind == 0 {
                     continue;
                 }
-                if kind > 2 {
-                    return Err(corrupt(format!("unknown shard {i} plan kind {kind}")));
-                }
-                plan_f32[i] = kind == 2;
+                plan_precision[i] = Some(
+                    Precision::from_tag(kind)
+                        .ok_or_else(|| corrupt(format!("unknown shard {i} plan kind {kind}")))?,
+                );
                 let count = varint::read_u64(data, &mut pos)
                     .ok_or_else(|| corrupt(format!("bad shard {i} plan count")))?;
                 // Every blob needs bytes behind it, so the remaining
@@ -613,7 +608,7 @@ impl ShardTable {
             shard_ranges,
             reorder_algos,
             plan_ranges,
-            plan_f32,
+            plan_precision,
             grammar_stages,
             fingerprints,
         })
@@ -658,17 +653,17 @@ impl ShardTable {
     }
 }
 
-/// Deserialises shard `i`'s persisted plan blobs and checks them
-/// against the decoded shard `model` (one blob per row block, matching
-/// rows/cols/rule counts — a mismatched plan would compute the wrong
-/// product). Pure cast-and-validate: no grammar decode, no
-/// compilation.
-fn decode_shard_plan(
+/// Deserialises shard `i`'s persisted plan blobs at precision `T` and
+/// checks them against the decoded shard `model` (one blob per row
+/// block, matching rows/cols/rule counts — a mismatched plan would
+/// compute the wrong product). Pure cast-and-validate: no grammar
+/// decode, no compilation.
+fn decode_shard_plan<T: PlanScalar>(
     table: &ShardTable,
     data: &[u8],
     i: usize,
     model: &Model,
-) -> Result<ModelPlan, ServeError> {
+) -> Result<Vec<KernelPlan<T>>, ServeError> {
     let ranges = &table.plan_ranges[i];
     let dims: Vec<(usize, usize, usize)> = match model {
         Model::Compressed(m) => vec![(m.rows(), m.cols(), m.lowered_rules())],
@@ -688,35 +683,16 @@ fn decode_shard_plan(
             "shard {i} plan count mismatches its row blocks"
         )));
     }
-    let f32 = table.plan_f32[i];
-    let mut plans64 = Vec::with_capacity(if f32 { 0 } else { ranges.len() });
-    let mut plans32 = Vec::with_capacity(if f32 { ranges.len() } else { 0 });
-    for (j, (range, &(rows, cols, rules))) in ranges.iter().zip(&dims).enumerate() {
-        let blob = &data[range.clone()];
-        let got = if f32 {
-            let p = KernelPlanF32::from_bytes(blob)
-                .ok_or_else(|| corrupt(format!("invalid shard {i} plan blob {j}")))?;
-            let got = (p.rows(), p.cols(), p.num_rules());
-            plans32.push(p);
-            got
-        } else {
-            let p = KernelPlan::from_bytes(blob)
-                .ok_or_else(|| corrupt(format!("invalid shard {i} plan blob {j}")))?;
-            let got = (p.rows(), p.cols(), p.num_rules());
-            plans64.push(p);
-            got
-        };
-        if got != (rows, cols, rules) {
+    let mut plans = Vec::with_capacity(ranges.len());
+    for (j, (range, &dim)) in ranges.iter().zip(&dims).enumerate() {
+        let p = KernelPlan::<T>::from_bytes(&data[range.clone()])
+            .ok_or_else(|| corrupt(format!("invalid shard {i} plan blob {j}")))?;
+        if (p.rows(), p.cols(), p.num_rules()) != dim {
             return Err(corrupt(format!("shard {i} plan {j} mismatches its matrix")));
         }
+        plans.push(p);
     }
-    Ok(match (model, f32) {
-        (Model::Compressed(_), false) => ModelPlan::Compressed(plans64.pop().expect("one blob")),
-        (Model::Compressed(_), true) => ModelPlan::CompressedF32(plans32.pop().expect("one blob")),
-        (Model::Blocked(_), false) => ModelPlan::Blocked(plans64),
-        (_, true) => ModelPlan::BlockedF32(plans32),
-        _ => unreachable!("unplannable backends rejected above"),
-    })
+    Ok(plans)
 }
 
 /// Deserialises a container into a ready-to-serve [`ShardedModel`],
@@ -811,7 +787,7 @@ fn decode(data: &[u8], parallel: bool) -> Result<ShardedModel, ServeError> {
             table.fingerprints[i],
         ));
     }
-    let model = ShardedModel::from_shards(parts, table.cols);
+    let mut model = ShardedModel::from_shards(parts, table.cols);
     if model.rows() != table.rows {
         return Err(corrupt(format!(
             "header promises {} rows, shards hold {}",
@@ -823,11 +799,13 @@ fn decode(data: &[u8], parallel: bool) -> Result<ShardedModel, ServeError> {
     // install it — a validated cast, not a recompilation, so load time
     // stays flat in grammar size and the first prewarm is a cheap
     // budget-warming pass.
-    for (i, ranges) in table.plan_ranges.iter().enumerate() {
-        if ranges.is_empty() {
-            continue;
-        }
-        let plan = decode_shard_plan(&table, data, i, model.shard_model(i))?;
+    for (i, precision) in table.plan_precision.iter().enumerate() {
+        let shard = model.shard_model(i);
+        let plan = match precision {
+            None => continue,
+            Some(Precision::F64) => ModelPlan::F64(decode_shard_plan(&table, data, i, shard)?),
+            Some(Precision::F32) => ModelPlan::F32(decode_shard_plan(&table, data, i, shard)?),
+        };
         model.install_plan(i, plan);
     }
     Ok(model)
@@ -1239,7 +1217,8 @@ mod tests {
         let x: Vec<f64> = (0..8).map(|i| i as f64 - 3.5).collect();
         for backend in [Backend::Compressed, Backend::Blocked] {
             for shards in [1usize, 3] {
-                for f32_plans in [false, true] {
+                for precision in [Precision::F64, Precision::F32] {
+                    let tag = format!("{} s={shards} {}", backend.name(), precision.name());
                     let opts = BuildOptions {
                         backend,
                         shards,
@@ -1248,29 +1227,21 @@ mod tests {
                         ..BuildOptions::default()
                     };
                     let model = ShardedModel::from_dense(&dense, &opts).unwrap();
-                    let serve = if f32_plans {
-                        ServeOptions::planned_f32()
-                    } else {
-                        ServeOptions::planned()
+                    let serve = ServeOptions {
+                        plans: Some(precision),
                     };
-                    model.prewarm_with(2, &serve);
+                    assert_eq!(model.prewarm_with(2, &serve), shards, "{tag}: compiled");
+                    assert_eq!(model.restored_plans(), 0, "{tag}");
                     let bytes = model.to_bytes_with_plans();
-                    assert_eq!(bytes[8], VERSION_PLANS, "{} s={shards}", backend.name());
+                    assert_eq!(bytes[8], VERSION_PLANS, "{tag}");
                     let table = ShardTable::parse(&bytes).unwrap();
-                    assert!(table.plan_bytes() > 0, "{} s={shards}", backend.name());
-                    assert_eq!(table.plan_f32, vec![f32_plans; shards]);
+                    assert!(table.plan_bytes() > 0, "{tag}");
+                    assert_eq!(table.plan_precision, vec![Some(precision); shards]);
 
                     // Loading must cast the plans back in, not compile.
-                    let before = gcm_core::plan_compiles();
                     let back = ShardedModel::from_bytes(&bytes).expect("v4 roundtrip");
-                    assert_eq!(
-                        gcm_core::plan_compiles(),
-                        before,
-                        "{} s={shards}: load must not compile",
-                        backend.name()
-                    );
-                    assert!(back.is_planned(), "{} s={shards}", backend.name());
-                    assert_eq!(back.is_planned_f32(), f32_plans);
+                    assert_eq!(back.restored_plans(), shards, "{tag}: restored");
+                    assert_eq!(back.plan_precision(), Some(precision), "{tag}");
                     // Deserialized plans are exact-capacity; compiled
                     // ones may carry growth slack, so compare loosely.
                     let loaded = back.plan_heap_bytes();
@@ -1281,18 +1252,15 @@ mod tests {
                     let mut y_b = vec![0.0; 37];
                     model.right_multiply_panel(1, &x, &mut y_a).unwrap();
                     back.right_multiply_panel(1, &x, &mut y_b).unwrap();
-                    assert_eq!(y_a, y_b, "{} s={shards}", backend.name());
+                    assert_eq!(y_a, y_b, "{tag}");
 
                     // A plan-enabled prewarm on the loaded model is a
                     // validation pass: it must reuse the installed
                     // plans, not rebuild them.
-                    let before = gcm_core::plan_compiles();
-                    back.prewarm_with(2, &serve);
                     assert_eq!(
-                        gcm_core::plan_compiles(),
-                        before,
-                        "{} s={shards}: prewarm after v4 load must not compile",
-                        backend.name()
+                        back.prewarm_with(2, &serve),
+                        0,
+                        "{tag}: prewarm after v4 load must not compile"
                     );
                 }
             }

@@ -36,6 +36,7 @@
 //! symbol stream *and* the shared dictionary — correctly invalidates
 //! them all.
 
+use gcm_core::Precision;
 use gcm_encodings::varint;
 use gcm_matrix::CsrvMatrix;
 use gcm_pipeline::{shard_fingerprint, BuildConfig, GrammarStage, Plan, ReorderMode};
@@ -105,8 +106,9 @@ struct Segment {
     grammar: Option<GrammarStage>,
     fingerprint: Option<u64>,
     payload: Vec<u8>,
-    /// `(kind, blobs)` for the plan section; `None` writes kind `0`.
-    plan: Option<(u8, Vec<Vec<u8>>)>,
+    /// `(precision, blobs)` for the plan section; `None` writes kind
+    /// `0`.
+    plan: Option<(Precision, Vec<Vec<u8>>)>,
 }
 
 /// Rebuilds `csrv` against the base container bytes, splicing every
@@ -159,14 +161,8 @@ pub fn compress_incremental(
 /// The base container's plan policy: `Some(opts)` when it persists
 /// plans (f32 when any shard's plans are single-precision).
 fn plan_policy(table: &ShardTable) -> Option<ServeOptions> {
-    if table.plan_ranges.iter().all(Vec::is_empty) {
-        return None;
-    }
-    Some(if table.plan_f32.iter().any(|&f| f) {
-        ServeOptions::planned_f32()
-    } else {
-        ServeOptions::planned()
-    })
+    let precision = table.plan_precision.iter().copied().flatten().max();
+    precision.map(|p| ServeOptions { plans: Some(p) })
 }
 
 /// Why this build cannot splice from this base (`None` = it can).
@@ -219,16 +215,13 @@ fn splice_blocker(csrv: &CsrvMatrix, config: &BuildConfig, table: &ShardTable) -
 /// Copies shard `i`'s on-disk pieces out of the base container without
 /// decoding them.
 fn splice_segment(table: &ShardTable, base: &[u8], i: usize) -> Segment {
-    let plan = if table.plan_ranges[i].is_empty() {
-        None
-    } else {
-        let kind = if table.plan_f32[i] { 2 } else { 1 };
+    let plan = table.plan_precision[i].map(|precision| {
         let blobs = table.plan_ranges[i]
             .iter()
             .map(|r| base[r.clone()].to_vec())
             .collect();
-        Some((kind, blobs))
-    };
+        (precision, blobs)
+    });
     Segment {
         reorder: table.reorder_algos[i],
         grammar: table.grammar_stages[i],
@@ -290,8 +283,8 @@ fn assemble(backend: Backend, rows: usize, cols: usize, segments: &[Segment]) ->
     for seg in segments {
         match &seg.plan {
             None => out.push(0),
-            Some((kind, blobs)) => {
-                out.push(*kind);
+            Some((precision, blobs)) => {
+                out.push(precision.tag());
                 varint::write_u64(&mut out, blobs.len() as u64);
                 for blob in blobs {
                     varint::write_u64(&mut out, blob.len() as u64);

@@ -46,6 +46,7 @@ pub mod server;
 pub mod sharded;
 
 pub use container::{ServeError, ShardTable};
+pub use gcm_core::Precision;
 pub use incremental::{compress_incremental, RebuildReport, ShardProvenance};
 pub use model::{Backend, Model, ModelPlan};
 pub use registry::{ModelStore, Registry};

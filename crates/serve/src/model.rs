@@ -6,7 +6,7 @@
 //! variant — behind one enum, so the container format, the sharded
 //! engine, and the differential test harness treat them uniformly.
 
-use gcm_core::{BlockedMatrix, CompressedMatrix, Encoding, KernelPlan, KernelPlanF32};
+use gcm_core::{BlockedMatrix, CompressedMatrix, Encoding, KernelPlan, PlanScalar, Precision};
 use gcm_encodings::HeapSize;
 use gcm_matrix::matvec::{check_left_batch, check_right_batch};
 use gcm_matrix::{CsrvMatrix, DenseMatrix, MatVec, MatrixError, ParallelCsrv, Workspace};
@@ -19,58 +19,73 @@ use gcm_pipeline::ShardArtifact;
 pub use gcm_pipeline::Backend;
 
 /// A compiled execution plan for one [`Model`] — the serve-layer
-/// counterpart of [`gcm_core::plan`]: grammar backends compile to
-/// per-(block-)matrix [`KernelPlan`]s, uncompressed backends have no
-/// plan (their kernels are already branchless array walks).
+/// counterpart of [`gcm_core::plan`]: a grammar backend compiles to one
+/// [`KernelPlan`] per row block (a single one for a compressed model)
+/// at one [`Precision`]; uncompressed backends have no plan (their
+/// kernels are already branchless array walks).
 ///
 /// Plans are a speed-for-memory trade ([`HeapSize`] reports the cost),
 /// built once at prewarm and consumed by the `*_planned` kernels below.
 #[derive(Debug, Clone)]
 pub enum ModelPlan {
-    /// One plan for a grammar-compressed model.
-    Compressed(KernelPlan),
-    /// One plan per row block of a blocked model.
-    Blocked(Vec<KernelPlan>),
-    /// Single-precision plan for a grammar-compressed model: half the
-    /// plan heap, twice the SIMD lanes, `f32` accumulation.
-    CompressedF32(KernelPlanF32),
-    /// Single-precision plans, one per row block of a blocked model.
-    BlockedF32(Vec<KernelPlanF32>),
+    /// Exact plans, bit-identical to the streaming kernels.
+    F64(Vec<KernelPlan<f64>>),
+    /// Single-precision plans: half the plan heap, twice the SIMD
+    /// lanes, `f32` accumulation.
+    F32(Vec<KernelPlan<f32>>),
+}
+
+/// Evaluates `$body` with `$ps` bound to the per-block plans inside a
+/// [`ModelPlan`], whichever its precision: the one precision dispatch
+/// every planned entry point shares.
+macro_rules! with_plans {
+    ($plan:expr, |$ps:ident| $body:expr) => {
+        match $plan {
+            $crate::model::ModelPlan::F64($ps) => $body,
+            $crate::model::ModelPlan::F32($ps) => $body,
+        }
+    };
+}
+pub(crate) use with_plans;
+
+/// Compiles the per-block plans of `model` at precision `T`; `None` for
+/// the uncompressed backends.
+fn compile_plans<T: PlanScalar>(model: &Model) -> Option<Vec<KernelPlan<T>>> {
+    match model {
+        Model::Csrv(_) | Model::ParCsrv(_) => None,
+        Model::Compressed(m) => Some(vec![KernelPlan::compile(m)]),
+        Model::Blocked(m) => Some(m.plan()),
+    }
 }
 
 impl ModelPlan {
-    /// Compiles a plan for `model`; `None` for the uncompressed
+    /// Compiles an `f64` plan for `model`; `None` for the uncompressed
     /// backends, which gain nothing from planning.
     pub fn compile(model: &Model) -> Option<Self> {
-        Self::compile_with(model, false)
+        Self::compile_with(model, Precision::F64)
     }
 
-    /// Compiles a plan for `model`, in single precision when `f32` is
-    /// set; `None` for the uncompressed backends.
-    pub fn compile_with(model: &Model, f32_plan: bool) -> Option<Self> {
-        match (model, f32_plan) {
-            (Model::Csrv(_) | Model::ParCsrv(_), _) => None,
-            (Model::Compressed(m), false) => Some(ModelPlan::Compressed(m.plan())),
-            (Model::Blocked(m), false) => Some(ModelPlan::Blocked(m.plan())),
-            (Model::Compressed(m), true) => Some(ModelPlan::CompressedF32(m.plan_f32())),
-            (Model::Blocked(m), true) => Some(ModelPlan::BlockedF32(m.plan_f32())),
+    /// Compiles a plan for `model` at `precision`; `None` for the
+    /// uncompressed backends.
+    pub fn compile_with(model: &Model, precision: Precision) -> Option<Self> {
+        match precision {
+            Precision::F64 => compile_plans(model).map(ModelPlan::F64),
+            Precision::F32 => compile_plans(model).map(ModelPlan::F32),
         }
     }
 
-    /// Whether this plan evaluates in single precision.
-    pub fn is_f32(&self) -> bool {
-        matches!(self, ModelPlan::CompressedF32(_) | ModelPlan::BlockedF32(_))
+    /// The precision this plan evaluates in.
+    pub fn precision(&self) -> Precision {
+        match self {
+            ModelPlan::F64(_) => Precision::F64,
+            ModelPlan::F32(_) => Precision::F32,
+        }
     }
 }
 
 impl HeapSize for ModelPlan {
     fn heap_bytes(&self) -> usize {
-        match self {
-            ModelPlan::Compressed(p) => p.heap_bytes(),
-            ModelPlan::Blocked(ps) => ps.iter().map(HeapSize::heap_bytes).sum(),
-            ModelPlan::CompressedF32(p) => p.heap_bytes(),
-            ModelPlan::BlockedF32(ps) => ps.iter().map(HeapSize::heap_bytes).sum(),
-        }
+        with_plans!(self, |ps| ps.iter().map(HeapSize::heap_bytes).sum())
     }
 }
 
@@ -191,18 +206,14 @@ impl Model {
     /// streaming kernels' separate W panels).
     pub fn planned_workspace_budget(&self, k: usize, plan: &ModelPlan) -> (usize, usize) {
         let k = k.max(1);
-        match plan {
-            ModelPlan::Compressed(p) => (1, p.scratch_len(k)),
-            ModelPlan::Blocked(ps) => {
-                let max_buf = ps.iter().map(|p| p.scratch_len(k)).max().unwrap_or(0);
-                (2 * ps.len(), max_buf.max(self.cols() * k))
+        with_plans!(plan, |ps| {
+            let max_buf = ps.iter().map(|p| p.scratch_len(k)).max().unwrap_or(0);
+            match self {
+                // Per block: a partial `cols × k` panel plus the scratch.
+                Model::Blocked(_) => (2 * ps.len(), max_buf.max(self.cols() * k)),
+                _ => (ps.len(), max_buf),
             }
-            ModelPlan::CompressedF32(p) => (1, p.scratch_len(k)),
-            ModelPlan::BlockedF32(ps) => {
-                let max_buf = ps.iter().map(|p| p.scratch_len(k)).max().unwrap_or(0);
-                (2 * ps.len(), max_buf.max(self.cols() * k))
-            }
-        }
+        })
     }
 
     /// Batched right product over explicit row-major `k`-wide panel
@@ -275,30 +286,21 @@ impl Model {
         y_panel: &mut [f64],
         ws: &mut Workspace,
     ) -> Result<(), MatrixError> {
-        match (self, plan) {
-            (Model::Compressed(_), ModelPlan::Compressed(p)) => {
+        with_plans!(plan, |ps| match (self, ps.as_slice()) {
+            (Model::Compressed(_), [p]) => {
                 let mut buf = ws.take(p.scratch_len(k));
                 let result = p.right_multiply_panel(k, x_panel, y_panel, &mut buf);
                 ws.put(buf);
                 result
             }
-            (Model::Blocked(m), ModelPlan::Blocked(ps)) => {
+            (Model::Blocked(m), ps) => {
                 m.right_multiply_panel_planned_into(ps, k, x_panel, y_panel, ws)
-            }
-            (Model::Compressed(_), ModelPlan::CompressedF32(p)) => {
-                let mut buf = ws.take(p.scratch_len(k));
-                let result = p.right_multiply_panel(k, x_panel, y_panel, &mut buf);
-                ws.put(buf);
-                result
-            }
-            (Model::Blocked(m), ModelPlan::BlockedF32(ps)) => {
-                m.right_multiply_panel_planned_f32_into(ps, k, x_panel, y_panel, ws)
             }
             // A mismatched plan cannot arise through the serve layer
             // (plans are compiled from the very model they serve);
             // fall back to the streaming path rather than guess.
             _ => self.right_multiply_panel_into(k, x_panel, y_panel, ws),
-        }
+        })
     }
 
     /// Sparse-input right product from the non-zeroes of `x` alone,
@@ -351,32 +353,8 @@ impl Model {
                 what: "y length",
             });
         }
-        match (self, plan) {
-            (Model::Compressed(_), ModelPlan::Compressed(p)) => {
-                let mut buf = ws.take(p.scratch_len(1));
-                let result = p.right_multiply_sparse(x_nnz, y, &mut buf);
-                ws.put(buf);
-                result
-            }
-            (Model::Compressed(_), ModelPlan::CompressedF32(p)) => {
-                let mut buf = ws.take(p.scratch_len(1));
-                let result = p.right_multiply_sparse(x_nnz, y, &mut buf);
-                ws.put(buf);
-                result
-            }
-            (Model::Blocked(_), ModelPlan::Blocked(ps)) => {
-                let mut off = 0usize;
-                for p in ps {
-                    let mut buf = ws.take(p.scratch_len(1));
-                    let result =
-                        p.right_multiply_sparse(x_nnz, &mut y[off..off + p.rows()], &mut buf);
-                    ws.put(buf);
-                    result?;
-                    off += p.rows();
-                }
-                Ok(())
-            }
-            (Model::Blocked(_), ModelPlan::BlockedF32(ps)) => {
+        with_plans!(plan, |ps| match self {
+            Model::Compressed(_) | Model::Blocked(_) => {
                 let mut off = 0usize;
                 for p in ps {
                     let mut buf = ws.take(p.scratch_len(1));
@@ -389,7 +367,7 @@ impl Model {
                 Ok(())
             }
             _ => self.right_multiply_sparse_into(x_nnz, y, ws),
-        }
+        })
     }
 
     /// Batched left product through a compiled `plan`; see
@@ -405,27 +383,18 @@ impl Model {
         x_panel: &mut [f64],
         ws: &mut Workspace,
     ) -> Result<(), MatrixError> {
-        match (self, plan) {
-            (Model::Compressed(_), ModelPlan::Compressed(p)) => {
+        with_plans!(plan, |ps| match (self, ps.as_slice()) {
+            (Model::Compressed(_), [p]) => {
                 let mut buf = ws.take(p.scratch_len(k));
                 let result = p.left_multiply_panel(k, y_panel, x_panel, &mut buf);
                 ws.put(buf);
                 result
             }
-            (Model::Blocked(m), ModelPlan::Blocked(ps)) => {
+            (Model::Blocked(m), ps) => {
                 m.left_multiply_panel_planned_into(ps, k, y_panel, x_panel, ws)
             }
-            (Model::Compressed(_), ModelPlan::CompressedF32(p)) => {
-                let mut buf = ws.take(p.scratch_len(k));
-                let result = p.left_multiply_panel(k, y_panel, x_panel, &mut buf);
-                ws.put(buf);
-                result
-            }
-            (Model::Blocked(m), ModelPlan::BlockedF32(ps)) => {
-                m.left_multiply_panel_planned_f32_into(ps, k, y_panel, x_panel, ws)
-            }
             _ => self.left_multiply_panel_into(k, y_panel, x_panel, ws),
-        }
+        })
     }
 }
 
@@ -578,21 +547,24 @@ mod tests {
                         x_nnz.len()
                     );
                 }
-                for f32_plan in [false, true] {
-                    let Some(plan) = ModelPlan::compile_with(&model, f32_plan) else {
+                for precision in [Precision::F64, Precision::F32] {
+                    let Some(plan) = ModelPlan::compile_with(&model, precision) else {
                         continue;
                     };
                     let mut y = vec![f64::NAN; 31];
                     model
                         .right_multiply_sparse_planned(&plan, x_nnz, &mut y, &mut ws)
                         .unwrap();
-                    let tol = if f32_plan { 1e-4 } else { 1e-9 };
+                    let tol = match precision {
+                        Precision::F64 => 1e-9,
+                        Precision::F32 => 1e-4,
+                    };
                     for (a, b) in y.iter().zip(&y_ref) {
                         assert!(
                             (a - b).abs() < tol,
-                            "{} planned sparse f32={} nnz={}",
+                            "{} planned sparse {} nnz={}",
                             model.backend().name(),
-                            f32_plan,
+                            precision.name(),
                             x_nnz.len()
                         );
                     }
@@ -619,7 +591,7 @@ mod tests {
             .right_multiply_sparse_into(&[(4, 1.0), (1, 1.0)], &mut y, &mut ws)
             .is_err());
         // Wrong output length through the planned entry point.
-        let plan = ModelPlan::compile_with(model, false).unwrap();
+        let plan = ModelPlan::compile(model).unwrap();
         let mut short = vec![0.0; 30];
         assert!(model
             .right_multiply_sparse_planned(&plan, &[(0, 1.0)], &mut short, &mut ws)

@@ -460,7 +460,7 @@ mod tests {
         let dir = tmp_dir("planned");
         let store = ModelStore::open(&dir).unwrap();
         let registry = Registry::with_options(store, 4, ServeOptions::planned());
-        assert!(registry.serve_options().plans);
+        assert!(registry.serve_options().plans.is_some());
         let published = registry.publish("m", sample_model(2)).unwrap();
         assert!(published.is_planned(), "publish must prewarm with plans");
         registry.evict("m");

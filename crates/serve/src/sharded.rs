@@ -21,7 +21,7 @@
 
 use std::sync::{Mutex, OnceLock};
 
-use gcm_core::Encoding;
+use gcm_core::{Encoding, KernelPlan, PlanScalar, Precision};
 use gcm_encodings::HeapSize;
 use gcm_matrix::matvec::{check_left_batch, check_panels, check_right_batch};
 use gcm_matrix::{CsrvMatrix, DenseMatrix, MatVec, MatrixError, Workspace};
@@ -30,7 +30,7 @@ use gcm_pipeline::{
 };
 use gcm_reorder::ReorderAlgorithm;
 
-use crate::model::{Backend, Model, ModelPlan};
+use crate::model::{with_plans, Backend, Model, ModelPlan};
 
 /// How to build a [`ShardedModel`] from a matrix. Kept as the simple
 /// front door; building runs through the staged `gcm-pipeline`
@@ -95,35 +95,31 @@ impl BuildOptions {
 /// memory-constrained one.
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
 pub struct ServeOptions {
-    /// Compile [`ModelPlan`]s for every shard at prewarm (see
-    /// [`gcm_core::plan`]). Opt-in: a plan costs `O(|C| + |R|)` words
-    /// per shard on top of the encoded matrix —
+    /// Compile [`ModelPlan`]s at this precision for every shard at
+    /// prewarm (see [`gcm_core::plan`]); `None` serves through the
+    /// streaming kernels. Opt-in: a plan costs `O(|C| + |R|)` words per
+    /// shard on top of the encoded matrix —
     /// [`ShardedModel::plan_heap_bytes`] reports the price — and buys a
     /// branchless, division-free, decode-free multiply. Plans are
     /// compiled concurrently on the persistent pool.
-    pub plans: bool,
-    /// Compile the plans in **single precision**
-    /// ([`gcm_core::KernelPlanF32`]): half the plan heap, twice the
-    /// SIMD lanes per vector register, `f32` accumulation (outputs
-    /// round-trip through `f64` panels at the interface). Only
-    /// meaningful together with [`plans`](Self::plans).
-    pub plan_f32: bool,
+    /// [`Precision::F32`] plans hold half the plan heap and use twice the
+    /// SIMD lanes per vector register, with `f32` accumulation (outputs
+    /// round-trip through `f64` panels at the interface).
+    pub plans: Option<Precision>,
 }
 
 impl ServeOptions {
-    /// Options with plan compilation enabled.
+    /// Options with `f64` plan compilation enabled.
     pub fn planned() -> Self {
         Self {
-            plans: true,
-            plan_f32: false,
+            plans: Some(Precision::F64),
         }
     }
 
     /// Options with single-precision plan compilation enabled.
     pub fn planned_f32() -> Self {
         Self {
-            plans: true,
-            plan_f32: true,
+            plans: Some(Precision::F32),
         }
     }
 }
@@ -180,6 +176,9 @@ pub struct ShardedModel {
     /// requests through one shared registry `Arc` would mix each
     /// other's partials.
     left_gate: Mutex<()>,
+    /// Shard plans the container loader restored from a persisted plan
+    /// section (see [`restored_plans`](Self::restored_plans)).
+    restored_plans: usize,
 }
 
 /// Shared raw base pointer for disjoint per-shard output slices.
@@ -188,84 +187,14 @@ struct SendPtr(*mut f64);
 unsafe impl Send for SendPtr {}
 unsafe impl Sync for SendPtr {}
 
-/// The split begin/accumulate protocol both plan precisions expose
-/// (see [`gcm_core::plan`]), so the single-shard row-parallel right
-/// path below is written once.
-trait RowSplitPlan: Sync {
-    fn scratch_len(&self, k: usize) -> usize;
-    fn begin_right_panel(
-        &self,
-        k: usize,
-        x_panel: &[f64],
-        buf: &mut [f64],
-    ) -> Result<(), MatrixError>;
-    fn accumulate_rows_panel(
-        &self,
-        rows: std::ops::Range<usize>,
-        k: usize,
-        buf: &[f64],
-        y_chunk: &mut [f64],
-    );
-}
-
-impl RowSplitPlan for gcm_core::KernelPlan {
-    fn scratch_len(&self, k: usize) -> usize {
-        gcm_core::KernelPlan::scratch_len(self, k)
-    }
-
-    fn begin_right_panel(
-        &self,
-        k: usize,
-        x_panel: &[f64],
-        buf: &mut [f64],
-    ) -> Result<(), MatrixError> {
-        gcm_core::KernelPlan::begin_right_panel(self, k, x_panel, buf)
-    }
-
-    fn accumulate_rows_panel(
-        &self,
-        rows: std::ops::Range<usize>,
-        k: usize,
-        buf: &[f64],
-        y_chunk: &mut [f64],
-    ) {
-        gcm_core::KernelPlan::accumulate_rows_panel(self, rows, k, buf, y_chunk);
-    }
-}
-
-impl RowSplitPlan for gcm_core::KernelPlanF32 {
-    fn scratch_len(&self, k: usize) -> usize {
-        gcm_core::KernelPlanF32::scratch_len(self, k)
-    }
-
-    fn begin_right_panel(
-        &self,
-        k: usize,
-        x_panel: &[f64],
-        buf: &mut [f64],
-    ) -> Result<(), MatrixError> {
-        gcm_core::KernelPlanF32::begin_right_panel(self, k, x_panel, buf)
-    }
-
-    fn accumulate_rows_panel(
-        &self,
-        rows: std::ops::Range<usize>,
-        k: usize,
-        buf: &[f64],
-        y_chunk: &mut [f64],
-    ) {
-        gcm_core::KernelPlanF32::accumulate_rows_panel(self, rows, k, buf, y_chunk);
-    }
-}
-
 /// Planned right product restricted to one shard-local row range: the
 /// rule pass fills the scratch buffer once, then only the descriptors
 /// of the requested rows accumulate (the plan's CSR `row_ptr` makes the
 /// slice O(descriptors-touched)). Allocation-free once the workspace
 /// holds a `scratch_len(k)` buffer — a planned prewarm warms exactly
 /// that.
-fn subset_right<P: RowSplitPlan>(
-    plan: &P,
+fn subset_right<T: PlanScalar>(
+    plan: &KernelPlan<T>,
     rows: std::ops::Range<usize>,
     k: usize,
     x_panel: &[f64],
@@ -286,8 +215,8 @@ fn subset_right<P: RowSplitPlan>(
 /// chunks of `C` accumulate concurrently via `broadcast_indexed` (the
 /// same primitive the multi-shard path uses one level up, so sharding
 /// and row ranges compose rather than compete).
-fn row_parallel_right<P: RowSplitPlan>(
-    plan: &P,
+fn row_parallel_right<T: PlanScalar>(
+    plan: &KernelPlan<T>,
     rows: usize,
     chunks: usize,
     k: usize,
@@ -428,6 +357,7 @@ impl ShardedModel {
             rows,
             cols,
             left_gate: Mutex::new(()),
+            restored_plans: 0,
         }
     }
 
@@ -521,12 +451,23 @@ impl ShardedModel {
     }
 
     /// Installs a deserialized plan on shard `i` (the `GCMSERV1` v4
-    /// cast-on-load path). Returns `false` when the shard already
-    /// carries a plan — first writer wins, matching the `OnceLock`
-    /// semantics `prewarm_with` relies on; a later plan-enabled prewarm
-    /// then validates budgets instead of recompiling.
-    pub(crate) fn install_plan(&self, i: usize, plan: ModelPlan) -> bool {
-        self.shards[i].plan.set(Some(plan)).is_ok()
+    /// cast-on-load path) and counts it in
+    /// [`restored_plans`](Self::restored_plans). A shard that already
+    /// carries a plan keeps it — first writer wins, matching the
+    /// `OnceLock` semantics `prewarm_with` relies on; a later
+    /// plan-enabled prewarm then validates budgets instead of
+    /// recompiling.
+    pub(crate) fn install_plan(&mut self, i: usize, plan: ModelPlan) {
+        if self.shards[i].plan.set(Some(plan)).is_ok() {
+            self.restored_plans += 1;
+        }
+    }
+
+    /// Number of shard plans restored from the container's persisted
+    /// plan section when this model was loaded — by validated cast, not
+    /// compilation. `0` for a built model or a container without plans.
+    pub fn restored_plans(&self) -> usize {
+        self.restored_plans
     }
 
     /// Warms every shard's workspace and partial buffer for batch widths
@@ -545,8 +486,11 @@ impl ShardedModel {
     /// same `par_map` machinery the container loader decodes shards
     /// with — and all later requests dispatch through the planned
     /// kernels. Plan compilation is once-per-model: a second prewarm
-    /// reuses the existing plans.
-    pub fn prewarm_with(&self, k: usize, opts: &ServeOptions) {
+    /// reuses the existing plans, as does a prewarm after loading a
+    /// container with persisted plans.
+    ///
+    /// Returns the number of shard plans this call compiled.
+    pub fn prewarm_with(&self, k: usize, opts: &ServeOptions) -> usize {
         let k = k.max(1);
         // Force every pool worker through one job first, so one-time
         // lazy per-thread runtime allocations land here rather than in
@@ -555,16 +499,19 @@ impl ShardedModel {
         // Build plans and warm shard workspaces through the same pool
         // stage machinery the pipeline builds and loads with (shards
         // run concurrently; with one shard this runs inline).
-        gcm_pipeline::par_map(self.shards.len(), |i| {
+        let compiled = gcm_pipeline::par_map(self.shards.len(), |i| {
             let shard = &self.shards[i];
-            let plan = if opts.plans {
-                shard
+            let mut compiled = false;
+            let plan = match opts.plans {
+                Some(precision) => shard
                     .plan
-                    .get_or_init(|| ModelPlan::compile_with(&shard.model, opts.plan_f32))
-                    .as_ref()
-            } else {
+                    .get_or_init(|| {
+                        compiled = true;
+                        ModelPlan::compile_with(&shard.model, precision)
+                    })
+                    .as_ref(),
                 // A plan built by an earlier prewarm keeps serving.
-                shard.plan()
+                None => shard.plan(),
             };
             let mut ws = shard.ws.lock().expect("shard workspace poisoned");
             let (count, max_len) = shard.model.workspace_budget(k);
@@ -579,6 +526,7 @@ impl ShardedModel {
                 let grow = self.cols * k - partial.len();
                 partial.reserve(grow);
             }
+            compiled && plan.is_some()
         });
         for width in [k, 1] {
             let x = vec![0.0; self.cols * width];
@@ -598,6 +546,7 @@ impl ShardedModel {
         let mut y = vec![0.0; self.rows];
         self.right_multiply_sparse(&x_nnz, &mut y)
             .expect("prewarm dimensions are consistent");
+        compiled.into_iter().filter(|&c| c).count()
     }
 
     /// Whether any shard serves through a compiled plan.
@@ -605,13 +554,16 @@ impl ShardedModel {
         self.shards.iter().any(|s| s.plan().is_some())
     }
 
-    /// Whether any shard serves through a **single-precision** plan
-    /// (compiled by a [`ServeOptions::planned_f32`] prewarm).
-    pub fn is_planned_f32(&self) -> bool {
+    /// The precision the shards' plans evaluate in: `None` while no
+    /// shard is planned, [`Precision::F32`] when any shard serves
+    /// through a single-precision plan (compiled by a
+    /// [`ServeOptions::planned_f32`] prewarm or restored from one).
+    pub fn plan_precision(&self) -> Option<Precision> {
         self.shards
             .iter()
             .filter_map(Shard::plan)
-            .any(ModelPlan::is_f32)
+            .map(ModelPlan::precision)
+            .max()
     }
 
     /// Heap bytes held by the compiled plans across all shards (0 until
@@ -651,19 +603,11 @@ impl ShardedModel {
             // rule pass has filled the scratch buffer (either
             // precision; see `row_parallel_right`).
             let threads = rayon::current_num_threads();
-            if threads > 1 && self.rows >= 2 * threads {
-                match shard.plan() {
-                    Some(ModelPlan::Compressed(plan)) => {
-                        return row_parallel_right(
-                            plan, self.rows, threads, k, x_panel, y_panel, &mut ws,
-                        );
-                    }
-                    Some(ModelPlan::CompressedF32(plan)) => {
-                        return row_parallel_right(
-                            plan, self.rows, threads, k, x_panel, y_panel, &mut ws,
-                        );
-                    }
-                    _ => {}
+            if let (Model::Compressed(_), Some(plan)) = (&shard.model, shard.plan()) {
+                if threads > 1 && self.rows >= 2 * threads {
+                    return with_plans!(plan, |ps| row_parallel_right(
+                        &ps[0], self.rows, threads, k, x_panel, y_panel, &mut ws,
+                    ));
                 }
             }
             if let Some(plan) = shard.plan() {
@@ -806,38 +750,31 @@ impl ShardedModel {
             let local = (begin - lo)..(end - lo);
             let out = &mut y_chunk[(begin - rows.start) * k..(end - rows.start) * k];
             let mut ws = shard.ws.lock().expect("shard workspace poisoned");
-            match shard.plan() {
-                Some(ModelPlan::Compressed(plan)) => {
-                    subset_right(plan, local, k, x_panel, out, &mut ws)?;
-                }
-                Some(ModelPlan::CompressedF32(plan)) => {
-                    subset_right(plan, local, k, x_panel, out, &mut ws)?;
-                }
-                plan => {
-                    // No row index to slice: produce the whole shard
-                    // into workspace memory, copy the range out.
-                    let mut y_full = ws.take(shard.model.rows() * k);
-                    let result = match plan {
-                        Some(p) => shard.model.right_multiply_panel_planned(
-                            p,
-                            k,
-                            x_panel,
-                            &mut y_full,
-                            &mut ws,
-                        ),
-                        None => {
-                            shard
-                                .model
-                                .right_multiply_panel_into(k, x_panel, &mut y_full, &mut ws)
-                        }
-                    };
-                    if result.is_ok() {
-                        out.copy_from_slice(&y_full[local.start * k..local.end * k]);
-                    }
-                    ws.put(y_full);
-                    result?;
-                }
+            let plan = shard.plan();
+            if let (Model::Compressed(_), Some(plan)) = (&shard.model, plan) {
+                with_plans!(plan, |ps| subset_right(
+                    &ps[0], local, k, x_panel, out, &mut ws
+                ))?;
+                continue;
             }
+            // No row index to slice: produce the whole shard into
+            // workspace memory, copy the range out.
+            let mut y_full = ws.take(shard.model.rows() * k);
+            let result = match plan {
+                Some(p) => {
+                    shard
+                        .model
+                        .right_multiply_panel_planned(p, k, x_panel, &mut y_full, &mut ws)
+                }
+                None => shard
+                    .model
+                    .right_multiply_panel_into(k, x_panel, &mut y_full, &mut ws),
+            };
+            if result.is_ok() {
+                out.copy_from_slice(&y_full[local.start * k..local.end * k]);
+            }
+            ws.put(y_full);
+            result?;
         }
         Ok(())
     }
@@ -1219,7 +1156,12 @@ mod tests {
                 model.prewarm_with(k, &ServeOptions::planned_f32());
                 let grammar = matches!(backend, Backend::Compressed | Backend::Blocked);
                 assert_eq!(model.is_planned(), grammar, "{}", backend.name());
-                assert_eq!(model.is_planned_f32(), grammar, "{}", backend.name());
+                assert_eq!(
+                    model.plan_precision(),
+                    grammar.then_some(Precision::F32),
+                    "{}",
+                    backend.name()
+                );
                 let mut yp_plan = vec![0.0; 83 * k];
                 let mut xp_plan = vec![0.0; 9 * k];
                 model

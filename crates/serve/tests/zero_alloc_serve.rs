@@ -61,10 +61,6 @@ fn sharded_serving_loop_is_allocation_free_from_the_first_request() {
     let mut y = vec![0.0; rows];
     let yv = vec![1.0; rows];
     let mut xo = vec![0.0; cols];
-    let x_panel = vec![0.5; cols * k];
-    let mut y_panel = vec![0.0; rows * k];
-    let y_in_panel = vec![0.5; rows * k];
-    let mut x_panel_out = vec![0.0; cols * k];
 
     // Single-threaded shard backends carry the full guarantee. (Shards
     // that are themselves pool-parallel allocate per-task control
@@ -73,16 +69,19 @@ fn sharded_serving_loop_is_allocation_free_from_the_first_request() {
     // the differential harness, not here.)
     // Both serve modes carry the guarantee: streaming kernels, and the
     // compiled-plan kernels a plan-enabled prewarm switches dispatch to.
-    // The single-shard planned case additionally routes through the
+    // The single-shard planned cases additionally route through the
     // row-range-parallel right multiply (plan row index + the
     // allocation-free broadcast), which must stay allocation-free too.
-    for (name, backend, encoding, shards, serve) in [
+    // The f32 cases run at batch width 8, so the AVX2 panel kernels
+    // (on hosts that have AVX2) are on the measured path.
+    for (name, backend, encoding, shards, serve, k) in [
         (
             "sharded-compressed-re_iv",
             Backend::Compressed,
             Encoding::ReIv,
             3usize,
             ServeOptions::default(),
+            4usize,
         ),
         (
             "sharded-compressed-re_ans",
@@ -90,6 +89,7 @@ fn sharded_serving_loop_is_allocation_free_from_the_first_request() {
             Encoding::ReAns,
             3,
             ServeOptions::default(),
+            4,
         ),
         (
             "sharded-csrv",
@@ -97,6 +97,7 @@ fn sharded_serving_loop_is_allocation_free_from_the_first_request() {
             Encoding::ReAns,
             3,
             ServeOptions::default(),
+            4,
         ),
         (
             "planned-compressed-re_iv",
@@ -104,6 +105,7 @@ fn sharded_serving_loop_is_allocation_free_from_the_first_request() {
             Encoding::ReIv,
             3,
             ServeOptions::planned(),
+            4,
         ),
         (
             "planned-compressed-re_ans",
@@ -111,6 +113,7 @@ fn sharded_serving_loop_is_allocation_free_from_the_first_request() {
             Encoding::ReAns,
             3,
             ServeOptions::planned(),
+            4,
         ),
         (
             "planned-row-parallel-re_32",
@@ -118,8 +121,29 @@ fn sharded_serving_loop_is_allocation_free_from_the_first_request() {
             Encoding::Re32,
             1,
             ServeOptions::planned(),
+            4,
+        ),
+        (
+            "planned-f32-compressed-re_fse",
+            Backend::Compressed,
+            Encoding::ReFse,
+            3,
+            ServeOptions::planned_f32(),
+            8,
+        ),
+        (
+            "planned-f32-row-parallel-re_32",
+            Backend::Compressed,
+            Encoding::Re32,
+            1,
+            ServeOptions::planned_f32(),
+            8,
         ),
     ] {
+        let x_panel = vec![0.5; cols * k];
+        let mut y_panel = vec![0.0; rows * k];
+        let y_in_panel = vec![0.5; rows * k];
+        let mut x_panel_out = vec![0.0; cols * k];
         let opts = BuildOptions {
             backend,
             encoding,
@@ -133,8 +157,17 @@ fn sharded_serving_loop_is_allocation_free_from_the_first_request() {
         // and demand allocation-freedom from the very first request.
         let model = ShardedModel::from_bytes(&built.to_bytes()).expect("container round-trip");
         model.prewarm_with(k, &serve);
-        assert_eq!(model.is_planned(), serve.plans, "{name}: plan state");
-        if serve.plans {
+        assert_eq!(
+            model.is_planned(),
+            serve.plans.is_some(),
+            "{name}: plan state"
+        );
+        assert_eq!(
+            model.plan_precision(),
+            serve.plans,
+            "{name}: plan precision"
+        );
+        if serve.plans.is_some() {
             assert!(model.plan_heap_bytes() > 0, "{name}: plan memory reported");
         }
 
@@ -272,9 +305,9 @@ fn sharded_serving_loop_is_allocation_free_from_the_first_request() {
         conjugate_gradient_into(&solver_model, &b_target, &mut xs, 20, 0.0, &mut sws).unwrap();
     });
 
-    // The v4 persisted-plan container must load by *casting*: zero plan
-    // compilations (the process-wide counter stays flat across load AND
-    // the post-load prewarm) and no grammar-decode-sized allocation —
+    // The v4 persisted-plan container must load by *casting*: every
+    // shard plan restored from the container, none compiled by the
+    // post-load prewarm, and no grammar-decode-sized allocation —
     // loading stays within a small multiple of the container itself.
     let built = ShardedModel::from_dense(
         &dense,
@@ -286,17 +319,19 @@ fn sharded_serving_loop_is_allocation_free_from_the_first_request() {
         },
     )
     .unwrap();
-    built.prewarm_with(k, &ServeOptions::planned());
+    assert_eq!(built.prewarm_with(k, &ServeOptions::planned()), 3);
     let bytes = built.to_bytes_with_plans();
-    let compiles_before = gcm_core::plan_compiles();
     let live = alloc::reset_peak();
     let loaded = ShardedModel::from_bytes(&bytes).expect("v4 load");
     let grown = alloc::peak_bytes().saturating_sub(live);
-    assert!(loaded.is_planned(), "persisted plans must arrive installed");
-    loaded.prewarm_with(k, &ServeOptions::planned());
     assert_eq!(
-        gcm_core::plan_compiles(),
-        compiles_before,
+        loaded.restored_plans(),
+        3,
+        "persisted plans must arrive installed"
+    );
+    assert_eq!(
+        loaded.prewarm_with(k, &ServeOptions::planned()),
+        0,
         "v4 load + prewarm must cast persisted plans, never recompile"
     );
     assert!(

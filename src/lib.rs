@@ -72,7 +72,7 @@ pub mod prelude {
     pub use gcm_core::{
         conjugate_gradient_into, pagerank_into, power_iterations, power_iterations_into,
         validate_sparse_x, BlockedMatrix, CompressedMatrix, Encoding, FastDiv, IterationStats,
-        KernelPlan, SolveStats, SolverWorkspace, SparseStrategy,
+        KernelPlan, Precision, SolveStats, SolverWorkspace, SparseStrategy,
     };
     pub use gcm_datagen::Dataset;
     pub use gcm_encodings::HeapSize;
