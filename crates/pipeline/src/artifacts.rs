@@ -127,6 +127,10 @@ pub struct ShardStats {
     pub grammar_rules: usize,
     /// Representation bytes of the built artifact.
     pub encoded_bytes: usize,
+    /// Grammar constructions the shard's build ran: one per row block
+    /// per grammar stage tried (`Auto` tries both; 0 for the
+    /// uncompressed backends).
+    pub grammar_runs: usize,
     /// Chosen encoding (None for the uncompressed backends).
     pub encoding: Option<Encoding>,
     /// Chosen grammar stage (None for the uncompressed backends and
@@ -169,6 +173,11 @@ impl BuildStats {
             encode += s.encode_time;
         }
         (reorder, grammar, encode)
+    }
+
+    /// Grammar constructions the build ran, summed across shards.
+    pub fn grammar_runs(&self) -> usize {
+        self.shards.iter().map(|s| s.grammar_runs).sum()
     }
 }
 

@@ -152,6 +152,7 @@ impl Pipeline {
         let mut grammar_time = std::time::Duration::ZERO;
         let mut encode_time = std::time::Duration::ZERO;
         let mut grammar_rules = 0usize;
+        let mut grammar_runs = 0usize;
         let mut encoding = None;
         let mut grammar = None;
         let artifact = match plan.backend {
@@ -210,6 +211,13 @@ impl Pipeline {
                     }
                 };
                 grammar_rules = blocks.iter().map(CompressedMatrix::num_rules).sum();
+                // Auto ran both stages on every block.
+                let stages = if matches!(sp.grammar, Some(GrammarChoice::Auto)) {
+                    2
+                } else {
+                    1
+                };
+                grammar_runs = stages * parts.len();
                 encoding = blocks.first().map(CompressedMatrix::encoding);
                 grammar = stage;
                 if plan.backend == Backend::Compressed {
@@ -234,6 +242,7 @@ impl Pipeline {
             rows,
             nnz,
             grammar_rules,
+            grammar_runs,
             encoded_bytes: artifact.stored_bytes(),
             encoding,
             grammar,

@@ -17,23 +17,9 @@
 //!   rare self-overlap corner cases a rule may end up used once — harmless
 //!   for correctness, negligible for compression.
 
-use std::sync::atomic::{AtomicUsize, Ordering};
-
 use gcm_encodings::fxhash::FxHashMap;
 
 use crate::slp::{MrSlp, Slp};
-
-/// Process-wide count of grammar constructions (RePair or MR-RePair).
-///
-/// The incremental-rebuild path promises to re-run exactly the changed
-/// shards' grammar stages; this counter lets tests assert that promise
-/// instead of trusting it.
-static GRAMMAR_BUILDS: AtomicUsize = AtomicUsize::new(0);
-
-/// Number of grammar compressions performed by this process so far.
-pub fn grammar_builds() -> usize {
-    GRAMMAR_BUILDS.load(Ordering::Relaxed)
-}
 
 /// Marks a hole in the working sequence.
 const EMPTY: u32 = u32::MAX;
@@ -469,7 +455,6 @@ impl RePair {
             .unwrap_or(usize::MAX)
             .min((u32::MAX - first_nt) as usize);
 
-        GRAMMAR_BUILDS.fetch_add(1, Ordering::Relaxed);
         let mut st = State::new_in(input, protected, scratch);
         st.count_initial_pairs();
         let mut rules: Vec<(u32, u32)> = Vec::new();
@@ -537,7 +522,6 @@ impl RePair {
             .unwrap_or(usize::MAX)
             .min((u32::MAX - first_nt) as usize);
 
-        GRAMMAR_BUILDS.fetch_add(1, Ordering::Relaxed);
         let mut st = State::new_in(input, protected, scratch);
         st.count_initial_pairs();
         let mut rule_ptr: Vec<u32> = vec![0];
@@ -970,14 +954,6 @@ mod tests {
         let slp_fresh = RePair::new().compress(&inputs[0], 100, Some(0));
         assert_eq!(slp_scratch.rules(), slp_fresh.rules());
         assert_eq!(slp_scratch.sequence(), slp_fresh.sequence());
-    }
-
-    #[test]
-    fn grammar_builds_counts_every_compression() {
-        let before = grammar_builds();
-        let _ = RePair::new().compress(&[1, 2, 1, 2], 10, None);
-        let _ = RePair::new().compress_mr(&[1, 2, 1, 2], 10, None);
-        assert!(grammar_builds() >= before + 2);
     }
 
     #[test]

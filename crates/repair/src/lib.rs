@@ -21,5 +21,5 @@ pub mod compressor;
 pub mod slp;
 pub mod stats;
 
-pub use compressor::{grammar_builds, RePair, RePairConfig, RePairScratch};
+pub use compressor::{RePair, RePairConfig, RePairScratch};
 pub use slp::{MrSlp, Slp};

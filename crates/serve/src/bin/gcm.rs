@@ -119,6 +119,8 @@ fn usage() -> ExitCode {
          [--deadline-us D] [--max-inflight N] [--plan] [--plan-f32]\n  \
          gcm stats <host:port> [--model NAME]\n  \
          gcm selftest [--rows R] [--cols C] [--shards N]\n\n\
+         serve --deadline-us: how long a batch waits for company while its lane\n\
+         is busy (default 200); a request on an idle lane runs at once\n\n\
          datasets: susy higgs airline78 covtype census optical mnist2m",
         encoding_names()
     );

@@ -16,7 +16,7 @@
 //! Because the per-shard stages are deterministic and independent, the
 //! spliced container is **byte-identical** to a from-scratch rebuild of
 //! the same input under the same configuration — the tests pin this
-//! down, and `gcm_repair::grammar_builds()` proves that exactly the
+//! down, and [`RebuildReport::grammar_runs`] proves that exactly the
 //! changed shards paid for grammar construction.
 //!
 //! The splice path needs a base that actually carries fingerprints and
@@ -79,6 +79,9 @@ pub struct RebuildReport {
     /// when splicing ran). The fallback is never silent: callers
     /// surface this to the user.
     pub full_reason: Option<String>,
+    /// Grammar constructions the rebuild ran, summed from the build
+    /// statistics of every shard it rebuilt (0 when all were spliced).
+    pub grammar_runs: usize,
 }
 
 impl RebuildReport {
@@ -138,14 +141,17 @@ pub fn compress_incremental(
     let plan = Plan::new(csrv, config);
     let mut segments = Vec::with_capacity(plan.shards.len());
     let mut provenance = Vec::with_capacity(plan.shards.len());
+    let mut grammar_runs = 0;
     for (i, sp) in plan.shards.iter().enumerate() {
         let fp = shard_fingerprint(&sp.csrv);
         if table.fingerprints[i] == Some(fp) {
             segments.push(splice_segment(&table, base, i));
             provenance.push(ShardProvenance::Spliced);
         } else {
-            segments.push(rebuild_segment(&sp.csrv, config, planned));
+            let (segment, runs) = rebuild_segment(&sp.csrv, config, planned);
+            segments.push(segment);
             provenance.push(ShardProvenance::Rebuilt);
+            grammar_runs += runs;
         }
     }
     let bytes = assemble(config.backend, csrv.rows(), csrv.cols(), &segments);
@@ -154,6 +160,7 @@ pub fn compress_incremental(
         RebuildReport {
             shards: provenance,
             full_reason: None,
+            grammar_runs,
         },
     ))
 }
@@ -235,28 +242,31 @@ fn splice_segment(table: &ShardTable, base: &[u8], i: usize) -> Segment {
 /// stages are deterministic and see exactly what they would see in a
 /// full rebuild (the shard's own rows, the same per-shard
 /// configuration), so the segment bytes match the full rebuild's.
+/// Returns the segment and the grammar runs its build took.
 fn rebuild_segment(
     shard_csrv: &CsrvMatrix,
     config: &BuildConfig,
     planned: Option<ServeOptions>,
-) -> Segment {
+) -> (Segment, usize) {
     let config_one = BuildConfig {
         shards: 1,
         ..*config
     };
     let artifacts = gcm_pipeline::global().build(shard_csrv, &config_one);
+    let runs = artifacts.stats.grammar_runs();
     let model = ShardedModel::from_artifacts(artifacts);
     if let Some(opts) = planned {
         model.prewarm_with(1, &opts);
     }
     let shard = &model.shard_slice()[0];
-    Segment {
+    let segment = Segment {
         reorder: shard.reorder,
         grammar: shard.grammar,
         fingerprint: shard.fingerprint,
         payload: shard_payload(&shard.model, shard.col_order.as_deref()),
         plan: shard.plan().map(plan_blobs),
-    }
+    };
+    (segment, runs)
 }
 
 /// Writes the version-5 container from per-shard segments — the same
@@ -308,6 +318,7 @@ fn full_rebuild(
 ) -> (Vec<u8>, RebuildReport) {
     let artifacts = gcm_pipeline::global().build(csrv, config);
     let n = artifacts.shards.len();
+    let runs = artifacts.stats.grammar_runs();
     let model = ShardedModel::from_artifacts(artifacts);
     let bytes = if let Some(opts) = planned {
         model.prewarm_with(1, &opts);
@@ -320,6 +331,7 @@ fn full_rebuild(
         RebuildReport {
             shards: vec![ShardProvenance::Rebuilt; n],
             full_reason: reason,
+            grammar_runs: runs,
         },
     )
 }
@@ -377,11 +389,9 @@ mod tests {
         let config = grammar_config(4);
         for plans in [false, true] {
             let base = build_full(&csrv, &config, plans);
-            let before = gcm_repair::grammar_builds();
             let (bytes, report) = compress_incremental(&csrv, &config, &base).unwrap();
             assert_eq!(
-                gcm_repair::grammar_builds() - before,
-                0,
+                report.grammar_runs, 0,
                 "no grammar stage may run when nothing changed (plans={plans})"
             );
             assert_eq!(report.full_reason, None);
@@ -406,13 +416,11 @@ mod tests {
             let mut changed = sample(48, 9, 0);
             changed.set(30, 4, 7.25);
             let changed_csrv = CsrvMatrix::from_dense(&changed).unwrap();
-            let before = gcm_repair::grammar_builds();
             let (bytes, report) = compress_incremental(&changed_csrv, &config, &base).unwrap();
             // Compressed backend, fixed MR stage: one grammar build per
-            // rebuilt shard, so the counter pins "exactly k re-ran".
+            // rebuilt shard, so the count pins "exactly k re-ran".
             assert_eq!(
-                gcm_repair::grammar_builds() - before,
-                1,
+                report.grammar_runs, 1,
                 "exactly the one changed shard re-runs its grammar stage (plans={plans})"
             );
             assert_eq!(report.full_reason, None);

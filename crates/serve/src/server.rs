@@ -3,8 +3,15 @@
 //! persistent pool) whose core is a **batching queue** that coalesces
 //! concurrent single-vector requests for the same model into one
 //! `right/left_multiply_panel` call — the k-wide kernels the bench layer
-//! measured at 3.6–17× over k=1 — flushing on width `batch_width` or a
-//! microsecond deadline, whichever comes first.
+//! measured at 3.6–17× over k=1.
+//!
+//! It batches **only under contention**. A request that opens a batch
+//! on an idle lane runs its kernel at once: with nothing executing,
+//! waiting for company is a pure latency tax. While the lane's other
+//! batch is executing or draining, or requests are parked waiting for a
+//! buffer, the new batch's leader waits for company instead, flushing
+//! on width `batch_width` or a microsecond deadline, whichever comes
+//! first.
 //!
 //! Layering:
 //!
@@ -47,9 +54,11 @@ pub struct ServerConfig {
     /// Maximum coalesced batch width (flush threshold); also the widest
     /// k a single request may carry. At least 1, at most `u16::MAX`.
     pub batch_width: usize,
-    /// How long the first request of a batch waits for company before
-    /// flushing anyway, in microseconds. 0 disables coalescing (every
-    /// request flushes immediately).
+    /// How long the first request of a batch waits for company while
+    /// its lane is busy (the lane's other batch executing or draining,
+    /// or requests parked for a buffer), in microseconds; on an idle
+    /// lane it never waits. 0 disables coalescing (every request
+    /// flushes immediately).
     pub batch_deadline_us: u64,
     /// Admission high-water mark: multiply requests beyond this many
     /// in flight are shed with `OVERLOADED`.
@@ -121,6 +130,8 @@ struct LaneState {
     /// Index of the batch currently accepting fills, if any.
     open: Option<usize>,
     free: [bool; 2],
+    /// Requests parked until a buffer drains (both were claimed).
+    waiting: usize,
 }
 
 /// Scratch for requests that already carry a k-wide panel (k ≥ 2):
@@ -168,6 +179,7 @@ impl Lane {
                 ],
                 open: None,
                 free: [true, true],
+                waiting: 0,
             }),
             full: Condvar::new(),
             done_cv: Condvar::new(),
@@ -225,7 +237,9 @@ impl Lane {
                 state.open = Some(i);
                 break i;
             }
+            state.waiting += 1;
             state = self.done_cv.wait(state).expect("lane poisoned");
+            state.waiting -= 1;
         };
         let slot = {
             let b = &mut state.batches[idx];
@@ -245,12 +259,17 @@ impl Lane {
         }
 
         if slot == 0 {
-            // Leader: wait (bounded) for company, then execute.
+            // Leader: batch only under contention. If the other buffer
+            // is claimed (its batch executing or draining) or requests
+            // are parked for a buffer (woken by the drain that freed
+            // this one, they are about to join), wait for company until
+            // the deadline or full width; on an idle lane run at once.
+            // The other batch draining mid-wait does not end the wait:
+            // flushing on every drain would run kernels back to back
+            // and starve the threads feeding the lane.
+            let contended = !state.free[1 - idx] || state.waiting > 0;
             let deadline = Instant::now() + Duration::from_micros(deadline_us);
-            loop {
-                if state.batches[idx].filled >= self.max_width {
-                    break;
-                }
+            while contended && state.batches[idx].filled < self.max_width {
                 let now = Instant::now();
                 if now >= deadline {
                     break;
@@ -544,12 +563,18 @@ impl Engine {
             return Ok(Arc::clone(lanes));
         }
         // Cold path: registry load (single-flight, prewarmed) + lane
-        // buffer allocation, once per model.
+        // buffer allocation, once per model. The lanes are built under
+        // the write lock after a second lookup, so racing first
+        // requests allocate one lane set, not one each.
         let model = self.registry.get(name)?;
+        let mut map = self.lanes.write().expect("lanes poisoned");
+        if let Some(lanes) = map.get(name) {
+            return Ok(Arc::clone(lanes));
+        }
         let metrics = self.metrics.get_or_create(name);
         let lanes = Arc::new(ModelLanes::new(model, metrics, self.config.batch_width));
-        let mut map = self.lanes.write().expect("lanes poisoned");
-        Ok(Arc::clone(map.entry(name.to_string()).or_insert(lanes)))
+        map.insert(name.to_string(), Arc::clone(&lanes));
+        Ok(lanes)
     }
 
     fn respond_serve_error(&self, out: &mut Vec<u8>, e: &ServeError) {
@@ -941,6 +966,14 @@ mod tests {
         &frame[4..]
     }
 
+    /// The f64 payload after a response body's status byte.
+    fn decode_column(body: &[u8]) -> Vec<f64> {
+        body[1..]
+            .chunks_exact(8)
+            .map(|c| f64::from_le_bytes(c.try_into().unwrap()))
+            .collect()
+    }
+
     #[test]
     fn engine_answers_ping_info_stats_and_multiply() {
         let config = ServerConfig {
@@ -971,10 +1004,7 @@ mod tests {
         engine.handle_frame(body_of(&req), &mut out);
         let body = body_of(&out);
         assert_eq!(body[0], status::OK);
-        let got: Vec<f64> = body[1..]
-            .chunks_exact(8)
-            .map(|c| f64::from_le_bytes(c.try_into().unwrap()))
-            .collect();
+        let got = decode_column(body);
         let mut want = vec![0.0; 18];
         dense.right_multiply(&x, &mut want).unwrap();
         assert_eq!(got, want, "served product must be bit-exact");
@@ -1023,10 +1053,7 @@ mod tests {
         engine.handle_frame(body_of(&req), &mut out);
         let body = body_of(&out);
         assert_eq!(body[0], status::OK);
-        let got: Vec<f64> = body[1..]
-            .chunks_exact(8)
-            .map(|c| f64::from_le_bytes(c.try_into().unwrap()))
-            .collect();
+        let got = decode_column(body);
         let mut want = vec![0.0; 18];
         dense.right_multiply(&x, &mut want).unwrap();
         assert_eq!(got, want[5..11], "row subset must be bit-exact");
@@ -1057,93 +1084,201 @@ mod tests {
 
     #[test]
     fn admission_control_sheds_past_high_water_mark() {
-        // max_inflight is clamped to >= 1, so exhaust it from a second
-        // thread that parks inside the batch deadline window.
+        // max_inflight is clamped to >= 1; the test holds that one slot.
         let config = ServerConfig {
-            batch_width: 8,
-            batch_deadline_us: 200_000,
             max_inflight: 1,
+            ..ServerConfig::default()
         };
         let (engine, _dense, dir) = engine_with_model("admission", config);
-        let engine = Arc::new(engine);
         let x = vec![1.0; 6];
-
-        let slow = {
-            let engine = Arc::clone(&engine);
-            let x = x.clone();
-            std::thread::spawn(move || {
-                let (mut req, mut out) = (Vec::new(), Vec::new());
-                encode_multiply(&mut req, "m", Direction::Right, 1, &x);
-                engine.handle_frame(body_of(&req), &mut out);
-                body_of(&out)[0]
-            })
-        };
-        // Wait until the slow request holds the in-flight slot.
-        while engine.inflight.load(Ordering::Acquire) == 0 {
-            std::thread::yield_now();
-        }
         let (mut req, mut out) = (Vec::new(), Vec::new());
         encode_multiply(&mut req, "m", Direction::Right, 1, &x);
+
+        let slot = engine.try_admit().expect("the only slot is free");
         engine.handle_frame(body_of(&req), &mut out);
-        let body = body_of(&out);
-        assert_eq!(body[0], status::OVERLOADED, "second request must be shed");
-        // The shed request joined no batch: the slow one completes OK
-        // after its deadline (coalescing the two would also be OK —
-        // but admission fired first).
-        assert_eq!(slow.join().unwrap(), status::OK);
+        assert_eq!(body_of(&out)[0], status::OVERLOADED, "must be shed");
+        drop(slot);
+        engine.handle_frame(body_of(&req), &mut out);
+        assert_eq!(body_of(&out)[0], status::OK, "a released slot admits again");
+
         let m = engine.metrics().get("m").unwrap();
         assert_eq!(m.overloaded.load(Ordering::Relaxed), 1);
         assert_eq!(m.ok.load(Ordering::Relaxed), 1);
+        assert_eq!(
+            m.batches.load(Ordering::Relaxed),
+            1,
+            "the shed request ran no kernel"
+        );
         std::fs::remove_dir_all(&dir).unwrap();
     }
 
     #[test]
-    fn concurrent_requests_coalesce_into_one_batch() {
+    fn overload_fast_fails_over_tcp_instead_of_queueing() {
+        use std::io::Write;
         let config = ServerConfig {
-            batch_width: 4,
-            batch_deadline_us: 500_000,
+            max_inflight: 1,
+            ..ServerConfig::default()
+        };
+        let (engine, _dense, dir) = engine_with_model("overload-tcp", config);
+        let engine = Arc::new(engine);
+        let mut handle = Server::bind(Arc::clone(&engine), ("127.0.0.1", 0))
+            .unwrap()
+            .spawn()
+            .unwrap();
+        let slot = engine.try_admit().expect("the only slot is free");
+
+        // A request that queued behind the held slot would never be
+        // answered; the read timeout turns that into a failure, not a
+        // hang.
+        let mut stream = TcpStream::connect(handle.addr()).unwrap();
+        stream
+            .set_read_timeout(Some(Duration::from_secs(10)))
+            .unwrap();
+        let (mut req, mut resp) = (Vec::new(), Vec::new());
+        encode_multiply(&mut req, "m", Direction::Right, 1, &[1.0; 6]);
+        let t = Instant::now();
+        stream.write_all(&req).unwrap();
+        let n = read_frame(&mut stream, &mut resp)
+            .expect("shed reply must arrive, not queue")
+            .expect("a response frame");
+        let shed_latency = t.elapsed();
+        assert_eq!(resp[..n][0], status::OVERLOADED);
+        assert!(
+            shed_latency < Duration::from_secs(2),
+            "shed reply took {shed_latency:?}"
+        );
+        drop(slot);
+
+        let m = engine.metrics().get("m").unwrap();
+        assert_eq!(m.overloaded.load(Ordering::Relaxed), 1);
+        drop(stream);
+        handle.stop();
+        std::fs::remove_dir_all(&dir).unwrap();
+    }
+
+    /// Sends `k` k=1 right multiplies from threads while `hold` keeps
+    /// the right lane contended, lifts the hold once `gathered` sees
+    /// them all in place, and asserts they ran as one k-wide kernel
+    /// call, each answer bit-exact with that call's column.
+    fn assert_coalesced_into_one_batch(
+        tag: &str,
+        hold: fn(&mut LaneState),
+        gathered: fn(&LaneState, usize) -> bool,
+        release: fn(&mut LaneState),
+    ) {
+        let k = 4usize;
+        let config = ServerConfig {
+            batch_width: k,
+            batch_deadline_us: 60_000_000,
             max_inflight: 64,
         };
-        let (engine, dense, dir) = engine_with_model("coalesce", config);
+        let (engine, _dense, dir) = engine_with_model(tag, config);
         let engine = Arc::new(engine);
-        // Prime the lanes so all four requests race on a warm path.
-        let (mut req, mut out) = (Vec::new(), Vec::new());
-        encode_info(&mut req, "m");
-        engine.handle_frame(body_of(&req), &mut out);
+        let lanes = engine.get_lanes("m").unwrap();
+        hold(&mut lanes.right.state.lock().unwrap());
 
-        let barrier = Arc::new(std::sync::Barrier::new(4));
-        let joins: Vec<_> = (0..4)
+        let joins: Vec<_> = (0..k)
             .map(|t| {
                 let engine = Arc::clone(&engine);
-                let barrier = Arc::clone(&barrier);
                 std::thread::spawn(move || {
-                    let mut x = vec![0.0; 6];
-                    x[t % 6] = (t + 1) as f64;
+                    let x: Vec<f64> = (0..6).map(|i| ((i * 5 + t * 3) % 7) as f64 - 2.5).collect();
                     let (mut req, mut out) = (Vec::new(), Vec::new());
                     encode_multiply(&mut req, "m", Direction::Right, 1, &x);
-                    barrier.wait();
                     engine.handle_frame(body_of(&req), &mut out);
-                    let body = body_of(&out).to_vec();
-                    (x, body)
+                    (x, body_of(&out).to_vec())
                 })
             })
             .collect();
-        for join in joins {
-            let (x, body) = join.join().unwrap();
-            assert_eq!(body[0], status::OK);
-            let got: Vec<f64> = body[1..]
-                .chunks_exact(8)
-                .map(|c| f64::from_le_bytes(c.try_into().unwrap()))
-                .collect();
-            let mut want = vec![0.0; 18];
-            dense.right_multiply(&x, &mut want).unwrap();
-            assert_eq!(got, want, "each member must get its own exact column");
+        let t = Instant::now();
+        while !gathered(&lanes.right.state.lock().unwrap(), k) {
+            assert!(
+                t.elapsed() < Duration::from_secs(30),
+                "the requests did not gather"
+            );
+            std::thread::yield_now();
         }
-        // The batch width bound: 4 vectors over at most 4 kernel calls;
-        // with the long deadline they overwhelmingly coalesce into one.
+        release(&mut lanes.right.state.lock().unwrap());
+        lanes.right.done_cv.notify_all();
+        let results: Vec<(Vec<f64>, Vec<u8>)> =
+            joins.into_iter().map(|j| j.join().unwrap()).collect();
+
         let m = engine.metrics().get("m").unwrap();
-        assert_eq!(m.vectors.load(Ordering::Relaxed), 4);
-        assert!(m.batches.load(Ordering::Relaxed) <= 4);
+        assert_eq!(m.batches.load(Ordering::Relaxed), 1, "one kernel call");
+        assert_eq!(m.vectors.load(Ordering::Relaxed), k as u64);
+
+        // Reference: one direct k-wide panel call with the same vectors.
+        let (rows, cols) = (lanes.model.rows(), lanes.model.cols());
+        let mut panel = vec![0.0; cols * k];
+        for (j, (x, _)) in results.iter().enumerate() {
+            for i in 0..cols {
+                panel[i * k + j] = x[i];
+            }
+        }
+        let mut y = vec![0.0; rows * k];
+        lanes.model.right_multiply_panel(k, &panel, &mut y).unwrap();
+        for (j, (_, body)) in results.iter().enumerate() {
+            assert_eq!(body[0], status::OK);
+            let got = decode_column(body);
+            for r in 0..rows {
+                assert_eq!(
+                    got[r].to_bits(),
+                    y[r * k + j].to_bits(),
+                    "request {j}, row {r}: must be bit-exact with the panel call"
+                );
+            }
+        }
+        std::fs::remove_dir_all(&dir).unwrap();
+    }
+
+    #[test]
+    fn contended_lane_coalesces_into_one_batch() {
+        // Buffer 1 claimed as if its batch were executing: buffer 0's
+        // leader waits for company until the batch is full.
+        assert_coalesced_into_one_batch(
+            "coalesce",
+            |s| s.free[1] = false,
+            |s, k| s.batches[0].filled == k,
+            |s| s.free[1] = true,
+        );
+    }
+
+    #[test]
+    fn parked_requests_coalesce_once_a_buffer_frees() {
+        // Both buffers claimed: every request parks for one. When both
+        // free at once the lane looks idle, but the first request to
+        // claim a buffer sees the others parked and waits for them.
+        assert_coalesced_into_one_batch(
+            "parked",
+            |s| s.free = [false, false],
+            |s, k| s.waiting == k,
+            |s| s.free = [true, true],
+        );
+    }
+
+    #[test]
+    fn idle_lane_runs_a_lone_request_at_once() {
+        let config = ServerConfig {
+            batch_deadline_us: 60_000_000,
+            ..ServerConfig::default()
+        };
+        let (engine, dense, dir) = engine_with_model("idle", config);
+        let x = vec![1.0, -2.0, 0.5, 3.0, 0.0, 1.25];
+        let (mut req, mut out) = (Vec::new(), Vec::new());
+        encode_multiply(&mut req, "m", Direction::Right, 1, &x);
+        let t = Instant::now();
+        engine.handle_frame(body_of(&req), &mut out);
+        let took = t.elapsed();
+        assert!(
+            took < Duration::from_secs(30),
+            "a lone request waited out the deadline ({took:?})"
+        );
+        let body = body_of(&out);
+        assert_eq!(body[0], status::OK);
+        let mut want = vec![0.0; 18];
+        dense.right_multiply(&x, &mut want).unwrap();
+        assert_eq!(decode_column(body), want);
+        let m = engine.metrics().get("m").unwrap();
+        assert_eq!(m.batches.load(Ordering::Relaxed), 1);
         std::fs::remove_dir_all(&dir).unwrap();
     }
 

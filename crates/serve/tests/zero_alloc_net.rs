@@ -66,13 +66,14 @@ fn steady_state_request_loop_is_allocation_free() {
     store.save("m", &model).unwrap();
 
     let k = 4usize;
-    // Deadline 0: the single test thread is always the batch leader and
-    // flushes immediately, exercising fill → close → execute → read
-    // without needing concurrent follower threads.
+    // The default deadline: the single test thread always opens its
+    // batch on an idle lane, so it runs at once, exercising fill → close
+    // → execute → read on the default-config path without concurrent
+    // follower threads.
     let config = ServerConfig {
         batch_width: k,
-        batch_deadline_us: 0,
         max_inflight: 16,
+        ..ServerConfig::default()
     };
     let engine = Engine::new(Registry::new(store, k), config);
     let (rows, cols) = (96usize, 12usize);

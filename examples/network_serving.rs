@@ -6,10 +6,11 @@
 //!
 //! Builds a sharded compressed model, publishes it into a store, starts
 //! the `gcm serve` engine on an ephemeral port, then drives it with
-//! concurrent single-vector clients. The server coalesces those k=1
-//! requests into one panel kernel call per batch window — the paper's
-//! k-wide batching win, recovered at serve time — and the `stats` verb
-//! shows the achieved batch width. Every response is bit-exact with a
+//! concurrent single-vector clients. While a lane is busy the server
+//! coalesces those k=1 requests into one panel kernel call per batch
+//! window — the paper's k-wide batching win, recovered at serve time —
+//! and the `stats` verb shows the achieved batch width. (A request that
+//! finds its lane idle runs at once instead of waiting for company.) Every response is bit-exact with a
 //! direct in-process `right_multiply_panel` call.
 
 use std::sync::{Arc, Barrier};
@@ -44,7 +45,8 @@ fn main() {
 
     // Start the server on an ephemeral port: coalesce up to 8 concurrent
     // single-vector requests per kernel call, waiting at most 500µs for
-    // company, and shed past 256 in-flight requests.
+    // company while the lane is busy (an idle lane runs a request at
+    // once), and shed past 256 in-flight requests.
     let config = ServerConfig {
         batch_width: 8,
         batch_deadline_us: 500,
