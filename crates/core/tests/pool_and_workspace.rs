@@ -35,7 +35,7 @@ fn repeated_multiplications_spawn_no_threads() {
 
     // Warm-up: first parallel call lazily builds the global pool.
     bm.right_multiply_into(&x, &mut y, &mut ws).unwrap();
-    let spawned = rayon::threads_ever_spawned();
+    let spawned = rayon::threads_spawned();
     assert!(spawned >= 1, "warm-up must have built the pool");
 
     let b = DenseMatrix::zeros(9, 3);
@@ -49,7 +49,7 @@ fn repeated_multiplications_spawn_no_threads() {
         par.left_multiply_into(&yv, &mut xo, &mut ws).unwrap();
     }
     assert_eq!(
-        rayon::threads_ever_spawned(),
+        rayon::threads_spawned(),
         spawned,
         "multiplications must reuse the persistent pool, not spawn threads"
     );

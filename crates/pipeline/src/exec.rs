@@ -631,12 +631,12 @@ mod tests {
             ..BuildConfig::default()
         };
         let _ = pipeline.build(&csrv, &config); // spins up the pool
-        let spawned = rayon::threads_ever_spawned();
+        let spawned = rayon::threads_spawned();
         for _ in 0..5 {
             let _ = pipeline.build(&csrv, &config);
         }
         assert_eq!(
-            rayon::threads_ever_spawned(),
+            rayon::threads_spawned(),
             spawned,
             "builds must not spawn per-build threads"
         );

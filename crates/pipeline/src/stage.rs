@@ -6,7 +6,7 @@
 //! loader maps shard byte ranges to decoded models. Neither spawns a
 //! thread — workers are the pool's, claimed per index — which is what
 //! lets the serve layer assert "no per-build thread spawns" with
-//! [`rayon::threads_ever_spawned`].
+//! [`rayon::threads_spawned`].
 
 /// Shared raw base pointer for disjoint per-index result slots.
 struct SendPtr<T>(*mut T);
@@ -76,12 +76,12 @@ mod tests {
     #[test]
     fn does_not_spawn_threads_once_pool_is_up() {
         let _ = par_map(4, |i| i); // spin up the global pool
-        let spawned = rayon::threads_ever_spawned();
+        let spawned = rayon::threads_spawned();
         for _ in 0..50 {
             let _ = par_map(8, |i| i * i);
         }
         assert_eq!(
-            rayon::threads_ever_spawned(),
+            rayon::threads_spawned(),
             spawned,
             "par_map must reuse pool workers"
         );

@@ -12,7 +12,7 @@
 //! [plan section                          -- versions 4 and 5
 //!  per shard: u8 plan kind (0 none, 1 f64, 2 f32)
 //!             if kind != 0: blob_count | blob_count × (len | blob)]
-//! u64 LE FNV-1a checksum of every preceding byte
+//! u64 LE checksum64 (XXH64, seed 0) of every preceding byte
 //! ```
 //!
 //! **Version 1** requires every shard to agree on the column reorder
@@ -193,14 +193,77 @@ fn corrupt(msg: impl Into<String>) -> ServeError {
     ServeError::Corrupt(msg.into())
 }
 
-/// FNV-1a 64 over `data` — the container's integrity checksum.
-pub fn fnv1a64(data: &[u8]) -> u64 {
-    let mut h = 0xcbf2_9ce4_8422_2325u64;
-    for &b in data {
-        h ^= u64::from(b);
-        h = h.wrapping_mul(0x0000_0100_0000_01B3);
+const P1: u64 = 0x9E37_79B1_85EB_CA87;
+const P2: u64 = 0xC2B2_AE3D_27D4_EB4F;
+const P3: u64 = 0x1656_67B1_9E37_79F9;
+const P4: u64 = 0x85EB_CA77_C2B2_AE63;
+const P5: u64 = 0x27D4_EB2F_1656_67C5;
+
+/// One lane step: mixes the 8-byte word `w` into accumulator `acc`.
+#[inline(always)]
+fn round(acc: u64, w: u64) -> u64 {
+    acc.wrapping_add(w.wrapping_mul(P2))
+        .rotate_left(31)
+        .wrapping_mul(P1)
+}
+
+/// Little-endian `u64` at `b[at..at + 8]`.
+#[inline(always)]
+fn word(b: &[u8], at: usize) -> u64 {
+    u64::from_le_bytes(b[at..at + 8].try_into().expect("8 bytes"))
+}
+
+/// The container's integrity checksum: a 64-bit **striped** hash of
+/// `data` (XXH64 with seed 0).
+///
+/// Four independent `u64` lanes each take one word of every 32-byte
+/// stripe, so the four multiply chains overlap and the loop runs at
+/// memory speed rather than one dependent multiply per byte. The lanes
+/// are then merged, the total length is added, the tail (under 32
+/// bytes) is folded in word, half-word and byte at a time, and a final
+/// avalanche spreads every input bit over the result.
+pub fn checksum64(data: &[u8]) -> u64 {
+    let (stripes, mut tail) = data.as_chunks::<32>();
+    let mut h = if stripes.is_empty() {
+        P5
+    } else {
+        let mut acc = [P1.wrapping_add(P2), P2, 0, P1.wrapping_neg()];
+        for s in stripes {
+            acc[0] = round(acc[0], word(s, 0));
+            acc[1] = round(acc[1], word(s, 8));
+            acc[2] = round(acc[2], word(s, 16));
+            acc[3] = round(acc[3], word(s, 24));
+        }
+        let mut h = acc[0]
+            .rotate_left(1)
+            .wrapping_add(acc[1].rotate_left(7))
+            .wrapping_add(acc[2].rotate_left(12))
+            .wrapping_add(acc[3].rotate_left(18));
+        for lane in acc {
+            h = (h ^ round(0, lane)).wrapping_mul(P1).wrapping_add(P4);
+        }
+        h
+    };
+    h = h.wrapping_add(data.len() as u64);
+    while let Some((w, rest)) = tail.split_first_chunk::<8>() {
+        h ^= round(0, u64::from_le_bytes(*w));
+        h = h.rotate_left(27).wrapping_mul(P1).wrapping_add(P4);
+        tail = rest;
     }
-    h
+    if let Some((w, rest)) = tail.split_first_chunk::<4>() {
+        h ^= u64::from(u32::from_le_bytes(*w)).wrapping_mul(P1);
+        h = h.rotate_left(23).wrapping_mul(P2).wrapping_add(P3);
+        tail = rest;
+    }
+    for &b in tail {
+        h ^= u64::from(b).wrapping_mul(P5);
+        h = h.rotate_left(11).wrapping_mul(P1);
+    }
+    h ^= h >> 33;
+    h = h.wrapping_mul(P2);
+    h ^= h >> 29;
+    h = h.wrapping_mul(P3);
+    h ^ (h >> 32)
 }
 
 /// Writes the optional column-reorder permutation prefix of the csrv /
@@ -420,7 +483,7 @@ fn encode(model: &ShardedModel, with_plans: bool) -> Vec<u8> {
             }
         }
     }
-    let sum = fnv1a64(&out);
+    let sum = checksum64(&out);
     out.extend_from_slice(&sum.to_le_bytes());
     out
 }
@@ -473,7 +536,7 @@ impl ShardTable {
         }
         let body_len = data.len() - 8;
         let stored = u64::from_le_bytes(data[body_len..].try_into().expect("8 bytes"));
-        let actual = fnv1a64(&data[..body_len]);
+        let actual = checksum64(&data[..body_len]);
         if stored != actual {
             return Err(corrupt(format!(
                 "checksum mismatch (stored {stored:016x}, computed {actual:016x})"
@@ -1026,7 +1089,7 @@ mod tests {
             varint::write_u64(&mut v1, range.len() as u64);
             v1.extend_from_slice(&v2[range.clone()]);
         }
-        let sum = fnv1a64(&v1);
+        let sum = checksum64(&v1);
         v1.extend_from_slice(&sum.to_le_bytes());
 
         let back = ShardedModel::from_bytes(&v1).expect("v1 container must load");
@@ -1085,7 +1148,7 @@ mod tests {
             varint::write_u64(&mut forged_v1, range.len() as u64);
             forged_v1.extend_from_slice(&v2[range.clone()]);
         }
-        let sum = fnv1a64(&forged_v1);
+        let sum = checksum64(&forged_v1);
         forged_v1.extend_from_slice(&sum.to_le_bytes());
         let err = ShardedModel::from_bytes(&forged_v1).expect_err("v1 disagreement is corrupt");
         assert!(err.to_string().contains("disagrees"), "{err}");
@@ -1211,6 +1274,57 @@ mod tests {
     }
 
     #[test]
+    fn checksum64_known_answers() {
+        // Pinned outputs: a change to any of these is a container format
+        // change. The lengths cover the empty input, the tail-only path
+        // (1, 31), exactly one stripe (32), a stripe plus a tail byte
+        // (33) and many stripes with an 8 + 4 + 1 byte tail (1000).
+        let input = |len: usize| -> Vec<u8> { (0..len).map(|i| (i % 251) as u8).collect() };
+        for (len, want) in [
+            (0usize, 0xef46_db37_51d8_e999u64),
+            (1, 0xe934_a84a_db05_2768),
+            (31, 0xc346_d2b5_9b4d_8ee1),
+            (32, 0xcbf5_9c51_16ff_32b4),
+            (33, 0x0c53_5d1a_cafb_8ead),
+            (1000, 0xf306_f04a_a88b_54d3),
+        ] {
+            assert_eq!(checksum64(&input(len)), want, "len {len}");
+        }
+        // Published XXH64 (seed 0) reference values.
+        assert_eq!(checksum64(b"abc"), 0x44bc_2cf5_ad77_0999);
+        assert_eq!(
+            checksum64(b"Nobody inspects the spammish repetition"),
+            0xfbce_a83c_8a37_8bf1
+        );
+    }
+
+    #[test]
+    fn container_with_the_old_fnv_trailer_is_rejected() {
+        // Containers written before the striped checksum carry FNV-1a 64
+        // of their body; they must fail the checksum gate, not panic.
+        fn fnv1a(data: &[u8]) -> u64 {
+            data.iter().fold(0xcbf2_9ce4_8422_2325u64, |h, &b| {
+                (h ^ u64::from(b)).wrapping_mul(0x0000_0100_0000_01b3)
+            })
+        }
+        let model = ShardedModel::from_dense(
+            &sample(),
+            &BuildOptions {
+                shards: 2,
+                ..BuildOptions::default()
+            },
+        )
+        .unwrap();
+        let mut bytes = model.to_bytes();
+        let body = bytes.len() - 8;
+        let old = fnv1a(&bytes[..body]);
+        bytes[body..].copy_from_slice(&old.to_le_bytes());
+        let err = ShardedModel::from_bytes(&bytes).expect_err("old trailer must not verify");
+        assert!(err.to_string().contains("checksum mismatch"), "{err}");
+        assert!(ShardTable::parse(&bytes).is_err());
+    }
+
+    #[test]
     fn plan_section_roundtrips_without_recompiling() {
         use crate::sharded::ServeOptions;
         let dense = sample();
@@ -1306,7 +1420,7 @@ mod tests {
         use crate::sharded::ServeOptions;
         fn refresh_checksum(bytes: &mut [u8]) {
             let body = bytes.len() - 8;
-            let sum = fnv1a64(&bytes[..body]);
+            let sum = checksum64(&bytes[..body]);
             bytes[body..].copy_from_slice(&sum.to_le_bytes());
         }
         let dense = sample();
@@ -1531,7 +1645,7 @@ mod tests {
             v5.extend_from_slice(&plain[range.clone()]);
         }
         v5.extend_from_slice(&[0, 0]); // plan kinds: v5 always has them
-        let sum = fnv1a64(&v5);
+        let sum = checksum64(&v5);
         v5.extend_from_slice(&sum.to_le_bytes());
         let back = ShardedModel::from_bytes(&v5).expect("metadata-free v5 must load");
         assert_eq!(back.num_shards(), 2);
@@ -1550,7 +1664,7 @@ mod tests {
         use gcm_pipeline::GrammarChoice;
         fn refresh_checksum(bytes: &mut [u8]) {
             let body = bytes.len() - 8;
-            let sum = fnv1a64(&bytes[..body]);
+            let sum = checksum64(&bytes[..body]);
             bytes[body..].copy_from_slice(&sum.to_le_bytes());
         }
         let dense = sample();

@@ -43,7 +43,7 @@ use gcm_pipeline::{shard_fingerprint, BuildConfig, GrammarStage, Plan, ReorderMo
 use gcm_reorder::ReorderAlgorithm;
 
 use crate::container::{
-    self, fnv1a64, grammar_tag, plan_blobs, reorder_tag, shard_payload, ServeError, ShardTable,
+    self, checksum64, grammar_tag, plan_blobs, reorder_tag, shard_payload, ServeError, ShardTable,
     MAGIC, VERSION_GRAMMAR,
 };
 use crate::model::Backend;
@@ -303,7 +303,7 @@ fn assemble(backend: Backend, rows: usize, cols: usize, segments: &[Segment]) ->
             }
         }
     }
-    let sum = fnv1a64(&out);
+    let sum = checksum64(&out);
     out.extend_from_slice(&sum.to_le_bytes());
     out
 }

@@ -15,7 +15,7 @@
 //!   backends, from the first post-[`prewarm`](ShardedModel::prewarm)
 //!   request on;
 //! * the `GCMSERV1` [`container`] persists all of it (block structure,
-//!   reorder permutations, FNV-64 integrity checksum) with fully
+//!   reorder permutations, 64-bit striped integrity checksum) with fully
 //!   validating, panic-free loading, plus mmap-style selective shard
 //!   decoding via [`ShardTable`];
 //! * compiled execution plans ([`gcm_core::plan`]) are first-class at

@@ -528,7 +528,9 @@ impl ShardedModel {
             }
             compiled && plan.is_some()
         });
-        for width in [k, 1] {
+        // k = 1 visits width 1 once.
+        let widths: &[usize] = if k == 1 { &[1] } else { &[k, 1] };
+        for &width in widths {
             let x = vec![0.0; self.cols * width];
             let mut y = vec![0.0; self.rows * width];
             self.right_multiply_panel(width, &x, &mut y)

@@ -2,8 +2,8 @@
 //!
 //! For every backend: serialise a sharded model, then (a) truncate at
 //! every byte boundary and (b) flip bits in every byte. Loading must
-//! fail cleanly in all cases — the FNV-64 checksum makes *any*
-//! single-byte corruption detectable, and the structural validators
+//! fail cleanly in all cases — the 64-bit checksum catches every
+//! corruption (barring a 2^-64 collision), and the structural validators
 //! behind it guarantee that even a forged checksum cannot panic a
 //! kernel (that layer is fuzzed separately in
 //! `crates/core/tests/serial_fuzz.rs`).
@@ -12,7 +12,7 @@ use gcm_bench::{alloc, TrackingAlloc};
 use gcm_core::{CompressedMatrix, Encoding};
 use gcm_encodings::varint;
 use gcm_matrix::{CsrvMatrix, DenseMatrix};
-use gcm_serve::container::fnv1a64;
+use gcm_serve::container::checksum64;
 use gcm_serve::{Backend, BuildOptions, ServeOptions, ShardTable, ShardedModel};
 
 #[global_allocator]
@@ -84,7 +84,7 @@ fn forge(rows: u64, cols: u64, backend_tag: u8, shards: &[(u64, &[u8])]) -> Vec<
         varint::write_u64(&mut out, *declared_len);
         out.extend_from_slice(payload);
     }
-    let sum = fnv1a64(&out);
+    let sum = checksum64(&out);
     out.extend_from_slice(&sum.to_le_bytes());
     out
 }
@@ -224,11 +224,11 @@ fn forged_re_fse_shard_payloads_are_rejected_within_budget() {
     assert!(ShardedModel::from_bytes(&good).is_ok());
 }
 
-/// Rewrites the trailing FNV-64 checksum so a mutated body reaches the
+/// Rewrites the trailing checksum so a mutated body reaches the
 /// structural validators instead of dying at the checksum gate.
 fn refresh_checksum(bytes: &mut [u8]) {
     let body = bytes.len() - 8;
-    let sum = fnv1a64(&bytes[..body]);
+    let sum = checksum64(&bytes[..body]);
     bytes[body..].copy_from_slice(&sum.to_le_bytes());
 }
 

@@ -2,7 +2,7 @@
 //!
 //! * building and loading an ≥4-shard model runs on the persistent
 //!   pool's workers — **no per-build or per-load thread spawns**
-//!   (asserted with the vendored pool's `threads_ever_spawned` counter);
+//!   (asserted with the vendored global pool's `threads_spawned` counter);
 //! * the parallel pipeline produces **bit-identical containers** and
 //!   dense-oracle-identical products vs. the sequential reference path,
 //!   for every backend × reorder mode (including per-shard orders and
@@ -148,7 +148,7 @@ fn build_and_load_spawn_no_threads_beyond_the_pool() {
     let loaded = ShardedModel::from_bytes(&bytes).unwrap();
     loaded.prewarm(2);
 
-    let spawned = rayon::threads_ever_spawned();
+    let spawned = rayon::threads_spawned();
     for _ in 0..3 {
         let built = ShardedModel::from_artifacts(gcm_pipeline::global().build(&csrv, &config));
         assert_eq!(built.num_shards(), 8);
@@ -158,7 +158,7 @@ fn build_and_load_spawn_no_threads_beyond_the_pool() {
         loaded.right_multiply_panel(1, &[1.0; 8], &mut y).unwrap();
     }
     assert_eq!(
-        rayon::threads_ever_spawned(),
+        rayon::threads_spawned(),
         spawned,
         "pipeline builds/loads must reuse pool workers, never spawn"
     );
